@@ -26,7 +26,6 @@ from sisq.spectral import (
     SizeCapError,
     SpectralResult,
     SymmetrizedGenerator,
-    dominant_eigenpair,
     expected_time_qsd,
     full_decomposition,
     quasi_stationary_distribution,
@@ -72,7 +71,6 @@ __all__ = [
     "ConvergenceError",
     "SizeCapError",
     "symmetrize",
-    "dominant_eigenpair",
     "quasi_stationary_distribution",
     "expected_time_qsd",
     "survival_probability",

@@ -6,6 +6,18 @@ birth/(birth + death).  No approximation is involved anywhere; these
 trajectories are the empirical oracle the analytic modules are checked
 against.
 
+Two event loops implement this.  `_run` is the recording loop behind
+`simulate` and `simulate_restarted`: it keeps the event log, the
+occupancy clocks and the restart rows, and stops at the horizon, or at
+absorption unless restarts are on.  `_jump` is the lean sampler behind
+`conditioned_ensemble` and `extinction_time_samples`: it keeps nothing
+but the state and the clock, and stops at absorption or once the clock
+reaches t_stop (infinite for extinction times).  They stay apart because
+recording costs the samplers time on every event: merged loops carrying
+a recording branch were bit-identical but 1.10-1.22x slower on the
+ensemble (n=1000, R0=5) and 1.10-1.36x slower on extinction times
+(n=20), measured on a 2-core Intel Xeon with Python 3.11 and numpy 2.4.
+
 Determinism contract: replicate r of a run seeded with SeedSpec(root, s)
 draws all of its randomness from a Philox4x64 generator keyed with
 key = [root, s + r].  Within a stream the draw order is fixed: one scalar
@@ -19,6 +31,7 @@ observationally identical to a serial run.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -130,15 +143,16 @@ class Trajectory:
 
 
 def _rates(p: ModelParams) -> tuple[list, list]:
+    """Per-state birth rates and total event rates, states 0..n."""
     n = p.n
     births = [p.lam * i * (n - i) / n for i in range(n + 1)]
-    deaths = [p.gamma * i for i in range(n + 1)]
-    return births, deaths
+    totals = [b + p.gamma * i for i, b in enumerate(births)]
+    return births, totals
 
 
 def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
          restarted: bool) -> Trajectory:
-    births, deaths = _rates(p)
+    births, totals = _rates(p)
     times = [0.0]
     states = [y0]
     flags = [False]
@@ -153,42 +167,36 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
     unis: list = []
     k = _BLOCK
     while True:
-        birth = births[state]
-        total = birth + deaths[state]
-        if k == _BLOCK:
-            exps = gen.standard_exponential(_BLOCK).tolist()
-            unis = gen.random(_BLOCK).tolist()
-            k = 0
-        wait = exps[k] / total
-        if t + wait >= t_max:
-            state_time[state] += t_max - t
-            t = t_max
-            k += 1
-            break
-        state_time[state] += wait
-        t += wait
-        up = unis[k] * total < birth
-        k += 1
-        state = state + 1 if up else state - 1
-        n_events += 1
-        if len(times) < cap:
-            times.append(t)
-            states.append(state)
-            flags.append(False)
-        else:
-            truncated = True
         if state == 0:
             if not restarted:
                 break
             n_restarts += 1
-            n_events += 1
             state = 1
-            if len(times) < cap:
-                times.append(t)
-                states.append(state)
-                flags.append(True)
-            else:
-                truncated = True
+            restart = True
+        else:
+            birth = births[state]
+            total = totals[state]
+            if k == _BLOCK:
+                exps = gen.standard_exponential(_BLOCK).tolist()
+                unis = gen.random(_BLOCK).tolist()
+                k = 0
+            wait = exps[k] / total
+            if t + wait >= t_max:
+                state_time[state] += t_max - t
+                t = t_max
+                break
+            state_time[state] += wait
+            t += wait
+            state = state + 1 if unis[k] * total < birth else state - 1
+            k += 1
+            restart = False
+        n_events += 1
+        if len(times) < cap:
+            times.append(t)
+            states.append(state)
+            flags.append(restart)
+        else:
+            truncated = True
     return Trajectory(
         n=p.n,
         times=np.asarray(times),
@@ -248,34 +256,71 @@ def empirical_occupancy(tr: Trajectory) -> np.ndarray:
     return mass / total
 
 
-def _state_at(p: ModelParams, y0: int, t_snap: float, seed: SeedSpec,
-              offset: int) -> int:
-    """Fast path: state at t_snap (0 when absorbed), no event log."""
-    gen = seed.generator(offset)
-    births, deaths = _rates(p)
-    state = y0
+def _jump(births: list, totals: list, state: int, t_stop: float,
+          gen: np.random.Generator) -> tuple[int, float]:
+    """Lean sampler: run from `state` at time 0 until absorption or t >= t_stop.
+
+    Returns (0, absorption time) or (state held at t_stop, time of the
+    first event past it).
+    """
     t = 0.0
     exps: list = []
     unis: list = []
     k = _BLOCK
     while state != 0:
         birth = births[state]
-        total = birth + deaths[state]
+        total = totals[state]
         if k == _BLOCK:
             exps = gen.standard_exponential(_BLOCK).tolist()
             unis = gen.random(_BLOCK).tolist()
             k = 0
         t += exps[k] / total
-        if t >= t_snap:
-            return state
+        if t >= t_stop:
+            break
         state = state + 1 if unis[k] * total < birth else state - 1
         k += 1
-    return 0
+    return state, t
 
 
-def _ensemble_chunk(args: tuple) -> list:
-    p, y0, t_snap, seed, lo, hi = args
-    return [_state_at(p, y0, t_snap, seed, r) for r in range(lo, hi)]
+def _initial_state_index(cum: np.ndarray, u: float) -> int:
+    """Inverse-CDF tie rule: first index with cumulative >= u."""
+    idx = int(np.searchsorted(cum, u, side="left"))
+    return min(idx, cum.size - 1)
+
+
+def _chunk(args: tuple) -> list:
+    """_jump results for replicates lo..hi-1, replicate r on stream offset r.
+
+    `start` is a fixed initial state, or the cumulative initial
+    distribution over 1..n, whose inverse-CDF draw is then the first draw
+    of each replicate's stream.
+    """
+    p, start, t_stop, seed, lo, hi = args
+    births, totals = _rates(p)
+    sampled = isinstance(start, np.ndarray)
+    out = []
+    for r in range(lo, hi):
+        gen = seed.generator(r)
+        y0 = _initial_state_index(start, gen.random()) + 1 if sampled else start
+        out.append(_jump(births, totals, y0, t_stop, gen))
+    return out
+
+
+def _fan_out(p: ModelParams, start, t_stop: float, seed: SeedSpec,
+             replicates: int, workers: int | None) -> list:
+    """_chunk over all replicates, in replicate order.
+
+    Runs on min(workers, CPU count, replicates) processes; None means one.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    procs = min(workers or 1, os.cpu_count() or 1, replicates)
+    if procs == 1:
+        return _chunk((p, start, t_stop, seed, 0, replicates))
+    edges = np.linspace(0, replicates, procs + 1).astype(int).tolist()
+    args = [(p, start, t_stop, seed, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        return [x for part in pool.map(_chunk, args) for x in part]
 
 
 @dataclass(frozen=True)
@@ -329,12 +374,6 @@ class EnsembleResult:
         return np.bincount(self.survivor_states, minlength=self.n + 1)[1:]
 
 
-def _chunk_bounds(total: int, workers: int) -> list:
-    edges = np.linspace(0, total, workers + 1).astype(int)
-    return [(int(edges[w]), int(edges[w + 1])) for w in range(workers)
-            if edges[w + 1] > edges[w]]
-
-
 def conditioned_ensemble(
     p: ModelParams,
     replicates: int,
@@ -351,62 +390,22 @@ def conditioned_ensemble(
     independent across entries.  Replicate r uses stream offset r.
 
     Args:
-        workers: process count for replicate-level parallelism; None or 1
-            runs serially.  Results are identical either way.
+        workers: process count for replicate-level parallelism, >= 1 and
+            capped at the CPU count; None or 1 runs serially.  Results are
+            identical either way.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
     if not 1 <= y0 <= p.n:
         raise ValueError(f"initial state must lie in 1..{p.n}, got {y0!r}")
     t_snap = _check_horizon(t_snap)
-    if workers is not None and workers > 1:
-        chunks = _chunk_bounds(replicates, workers)
-        args = [(p, y0, t_snap, seed, lo, hi) for lo, hi in chunks]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_ensemble_chunk, args))
-        states = [s for part in parts for s in part]
-    else:
-        states = _ensemble_chunk((p, y0, t_snap, seed, 0, replicates))
+    runs = _fan_out(p, int(y0), t_snap, seed, replicates, workers)
     return EnsembleResult(
         n=p.n,
         t_snap=t_snap,
         replicates=replicates,
-        survivor_states=np.array([s for s in states if s > 0], dtype=np.int64),
+        survivor_states=np.array([s for s, _ in runs if s > 0], dtype=np.int64),
     )
-
-
-def _initial_state_index(cum: np.ndarray, u: float) -> int:
-    """Inverse-CDF tie rule: first index with cumulative >= u."""
-    idx = int(np.searchsorted(cum, u, side="left"))
-    return min(idx, cum.size - 1)
-
-
-def _absorption_time(p: ModelParams, init_cum: np.ndarray, seed: SeedSpec,
-                     offset: int) -> float:
-    gen = seed.generator(offset)
-    y0 = _initial_state_index(init_cum, gen.random()) + 1
-    births, deaths = _rates(p)
-    state = y0
-    t = 0.0
-    exps: list = []
-    unis: list = []
-    k = _BLOCK
-    while state != 0:
-        birth = births[state]
-        total = birth + deaths[state]
-        if k == _BLOCK:
-            exps = gen.standard_exponential(_BLOCK).tolist()
-            unis = gen.random(_BLOCK).tolist()
-            k = 0
-        t += exps[k] / total
-        state = state + 1 if unis[k] * total < birth else state - 1
-        k += 1
-    return t
-
-
-def _extinction_chunk(args: tuple) -> list:
-    p, init_cum, seed, lo, hi = args
-    return [_absorption_time(p, init_cum, seed, r) for r in range(lo, hi)]
 
 
 @dataclass(frozen=True)
@@ -452,19 +451,12 @@ def extinction_time_samples(
 
     Args:
         init: distribution over states 1..n (entry k is state k + 1).
-        workers: process count for replicate-level parallelism; None or 1
-            runs serially.  Results are identical either way.
+        workers: process count for replicate-level parallelism, >= 1 and
+            capped at the CPU count; None or 1 runs serially.  Results are
+            identical either way.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
-    init = check_probability_vector(init, p.n)
-    init_cum = np.cumsum(init)
-    if workers is not None and workers > 1:
-        chunks = _chunk_bounds(replicates, workers)
-        args = [(p, init_cum, seed, lo, hi) for lo, hi in chunks]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_extinction_chunk, args))
-        times = [x for part in parts for x in part]
-    else:
-        times = _extinction_chunk((p, init_cum, seed, 0, replicates))
+    init_cum = np.cumsum(check_probability_vector(init, p.n))
+    times = [t for _, t in _fan_out(p, init_cum, math.inf, seed, replicates, workers)]
     return ExtinctionSamples(times=np.asarray(times))

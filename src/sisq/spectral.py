@@ -37,7 +37,6 @@ __all__ = [
     "SymmetrizedGenerator",
     "SpectralResult",
     "symmetrize",
-    "dominant_eigenpair",
     "quasi_stationary_distribution",
     "expected_time_qsd",
     "survival_probability",
@@ -165,48 +164,6 @@ def symmetrize(g: TransientGenerator, pi: np.ndarray) -> SymmetrizedGenerator:
         weights=pi,
         log_weights=log_w,
     )
-
-
-def _tridiag_norm_inf(diag: np.ndarray, offdiag: np.ndarray) -> float:
-    rs = np.abs(diag).copy()
-    if offdiag.size:
-        rs[:-1] += np.abs(offdiag)
-        rs[1:] += np.abs(offdiag)
-    return float(rs.max())
-
-
-def dominant_eigenpair(s: SymmetrizedGenerator) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and its unit eigenvector, all entries one sign.
-
-    Delegates to LAPACK's Sturm-count bisection and inverse iteration
-    (stebz/stein).  The residual is checked against the documented bound
-    1e-10 * ||S||.
-
-    Returns:
-        (lambda1, u1) with u1 normalized to unit Euclidean norm and
-        oriented positive.
-    """
-    if s.n == 1:
-        return float(s.diag[0]), np.ones(1)
-    evals, evecs = eigh_tridiagonal(
-        s.diag, s.offdiag, select="i", select_range=(s.n - 1, s.n - 1)
-    )
-    lam1 = float(evals[0])
-    u1 = evecs[:, 0]
-    if u1[np.argmax(np.abs(u1))] < 0.0:
-        u1 = -u1
-    resid = np.abs(
-        s.diag * u1
-        + np.concatenate((s.offdiag * u1[1:], [0.0]))
-        + np.concatenate(([0.0], s.offdiag * u1[:-1]))
-        - lam1 * u1
-    ).max()
-    bound = 1e-10 * _tridiag_norm_inf(s.diag, s.offdiag)
-    if resid > bound:
-        raise ConvergenceError(
-            f"dominant eigenpair residual {resid:.3e} exceeds {bound:.3e}"
-        )
-    return lam1, u1
 
 
 def _log_flux_sum_at_zero(upper: np.ndarray, lower: np.ndarray, gamma: float) -> float:

@@ -3,14 +3,17 @@
 Everything here is deliberately written by a different route than the
 library code it checks: dense matrices instead of banded storage, a
 Poisson-series propagator instead of the spectral one, raw ratio
-recurrences instead of log-gamma closed forms.
+recurrences instead of log-gamma closed forms, LAPACK's stebz/stein
+eigenpair instead of the flux recurrence.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from sisq.chain import ModelParams, build_transient_generator
+from sisq.spectral import ConvergenceError, SymmetrizedGenerator
 
 
 def dense_transient(p: ModelParams) -> np.ndarray:
@@ -76,3 +79,45 @@ def ratio_log_weights(p: ModelParams) -> np.ndarray:
         d = p.gamma * (i + 1)
         out[i] = out[i - 1] + math.log(b) - math.log(d)
     return out
+
+
+def _tridiag_norm_inf(diag: np.ndarray, offdiag: np.ndarray) -> float:
+    rs = np.abs(diag).copy()
+    if offdiag.size:
+        rs[:-1] += np.abs(offdiag)
+        rs[1:] += np.abs(offdiag)
+    return float(rs.max())
+
+
+def dominant_eigenpair(s: SymmetrizedGenerator) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and its unit eigenvector, all entries one sign.
+
+    Delegates to LAPACK's Sturm-count bisection and inverse iteration
+    (stebz/stein).  The residual is checked against the documented bound
+    1e-10 * ||S||.
+
+    Returns:
+        (lambda1, u1) with u1 normalized to unit Euclidean norm and
+        oriented positive.
+    """
+    if s.n == 1:
+        return float(s.diag[0]), np.ones(1)
+    evals, evecs = eigh_tridiagonal(
+        s.diag, s.offdiag, select="i", select_range=(s.n - 1, s.n - 1)
+    )
+    lam1 = float(evals[0])
+    u1 = evecs[:, 0]
+    if u1[np.argmax(np.abs(u1))] < 0.0:
+        u1 = -u1
+    resid = np.abs(
+        s.diag * u1
+        + np.concatenate((s.offdiag * u1[1:], [0.0]))
+        + np.concatenate(([0.0], s.offdiag * u1[:-1]))
+        - lam1 * u1
+    ).max()
+    bound = 1e-10 * _tridiag_norm_inf(s.diag, s.offdiag)
+    if resid > bound:
+        raise ConvergenceError(
+            f"dominant eigenpair residual {resid:.3e} exceeds {bound:.3e}"
+        )
+    return lam1, u1

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sisq
 from sisq.chain import ModelParams
 from sisq.cli import main
 from sisq.clt import expected_time_clt, q1_normal_approx
@@ -305,9 +308,13 @@ def test_ensemble_json_single_document(capsys):
 
 
 def test_cli_entrypoint_subprocess():
+    # the child imports the same sisq checkout as this process
+    src = str(Path(sisq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "sisq.cli", "qsd", "--n", "2", "--lambda", "1"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stderr == ""

@@ -231,6 +231,61 @@ def test_extinction_mean_from_qsd_start():
     assert abs(s.mean - 1.390388) <= 3.0 * s.standard_error
 
 
+def test_seeded_output_is_pinned():
+    # Literal values recorded from the original three-loop sampler; any
+    # change to the per-replicate draw order shows up here.
+    ens = conditioned_ensemble(ModelParams(50, 2, 1), 300, 3.0, SeedSpec(31))
+    assert int(ens.survivor_states.sum()) == 2065
+    assert ens.survivor_states[:10].tolist() == [6, 12, 1, 23, 12, 18, 23, 16, 15, 21]
+    p = ModelParams(2, 1, 1)
+    q = quasi_stationary_distribution(p).qsd
+    times = extinction_time_samples(p, 50, SeedSpec(41), q).times
+    assert times[:5].tolist() == [0.5099662802372731, 7.087717654172384,
+                                  1.9205300590503245, 0.10529705755843095,
+                                  0.20706659203502129]
+    tr = simulate_restarted(ModelParams(100, 2, 1), 200.0, SeedSpec(1))
+    assert (tr.n_events, tr.n_restarts, tr.final_state, tr.t_end) == (18736, 2, 39, 200.0)
+
+
+def test_workers_are_validated_and_capped(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records the requested pool size and maps inline; starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(sim_module, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sim_module.os, "cpu_count", lambda: 4)
+    p = ModelParams(20, 2.0, 1.0)
+    p2 = ModelParams(2, 1.0, 1.0)
+    q = quasi_stationary_distribution(p2).qsd
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            conditioned_ensemble(p, 10, 1.0, SeedSpec(5), workers=bad)
+        with pytest.raises(ValueError):
+            extinction_time_samples(p2, 10, SeedSpec(5), q, workers=bad)
+    serial = conditioned_ensemble(p, 10, 1.0, SeedSpec(5))
+    capped = conditioned_ensemble(p, 10, 1.0, SeedSpec(5), workers=100000)
+    few = conditioned_ensemble(p, 3, 1.0, SeedSpec(5), workers=100000)
+    assert np.array_equal(serial.survivor_states, capped.survivor_states)
+    assert np.array_equal(serial.survivor_states[:few.survivors], few.survivor_states)
+    ext_serial = extinction_time_samples(p2, 10, SeedSpec(5), q)
+    ext_capped = extinction_time_samples(p2, 10, SeedSpec(5), q, workers=100000)
+    assert np.array_equal(ext_serial.times, ext_capped.times)
+    assert sizes == [4, 3, 4]
+
+
 def test_standard_error_degenerate():
     s = extinction_time_samples(ModelParams(1, 1.0), 1, SeedSpec(2), [1.0])
     assert math.isnan(s.standard_error)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import dense_full, dense_transient, uniformization
+from _oracles import dense_full, dense_transient, dominant_eigenpair, uniformization
 from sisq.chain import ModelParams, birth_rate, build_transient_generator, death_rate
 from sisq.spectral import (
     FULL_DECOMPOSITION_SIZE_CAP,
@@ -12,7 +12,6 @@ from sisq.spectral import (
     SymmetrizedGenerator,
     conditioned_distribution,
     conditioned_probability,
-    dominant_eigenpair,
     expected_time_qsd,
     full_decomposition,
     quasi_stationary_distribution,
