@@ -10,7 +10,12 @@ from a quasi-stationary start is exactly exponential with rate -lambda1.
 Two solvers live here.  The dominant pair is computed by a flux-form
 recurrence plus bisection on the decay rate theta = -lambda1: summing the
 left-eigenvector equations telescopes them into an all-positive recurrence
-whose last residual changes sign exactly at theta.  Because no
+whose last residual changes sign exactly at theta.  The bisection runs in
+two phases: a binary search over the exponent k finds the factor-2
+bracket [gamma / 2^k, gamma / 2^(k-1)] around theta, bounded below by the
+theta = 0 sweep, and a geometric bisection then narrows it.  The bracket
+is exactly the one a halving walk down from gamma would reach, so the
+search only saves sweeps and never moves a bit of the result.  Because no
 cancellation ever occurs, lambda1 and the head of the eigenvector retain
 full relative accuracy even when |lambda1| is hundreds of orders of
 magnitude below the matrix norm, a regime where any residual-based
@@ -210,7 +215,29 @@ def _flux_sweep(
 
 
 def _solve_dominant_flux(g: TransientGenerator, gamma: float) -> tuple[float, np.ndarray]:
-    """Dominant decay rate theta = -lambda1 and QSD by flux bisection."""
+    """Dominant decay rate theta = -lambda1 and QSD by flux bisection.
+
+    Two phases.  The first brackets theta* between gamma / 2^k and
+    gamma / 2^(k-1) for the smallest k >= 1 whose sweep lies below the
+    rate.  The second bisects that bracket geometrically to _BRACKET_RTOL
+    and polishes theta to gamma / S_n.
+
+    The first phase is a binary search over the integer k rather than a
+    halving walk down from gamma.  The theta = 0 sweep bounds theta* from
+    below by gamma / S(0), so k_hi = ceil(log S(0) / ln 2) + 1 sits at
+    least a factor 2 below theta*, where the sweep predicate is robustly
+    true.  Every point the search tests is either one the halving walk
+    would also test or lies below gamma / 2^(k+1), so it finds the same k.
+    ldexp(gamma, -k) is the value the walk reaches by k exact halvings
+    (exact while it is a normal float, which the _MAX_LOG_FLUX_SUM refusal
+    ensures for gamma above ~1e-27).  So the bracket, and hence lambda1
+    and the QSD, are bit-identical to the walk's, while its
+    log2(gamma / theta*) sweeps shrink to about log2 of that.
+
+    Raises:
+        ConvergenceError: the sweep at gamma / 2^k_hi is not below the
+            rate, so the lower bound failed; iterations is the sweep count.
+    """
     n = g.n
     if n == 1:
         return gamma, np.ones(1)
@@ -223,12 +250,30 @@ def _solve_dominant_flux(g: TransientGenerator, gamma: float) -> tuple[float, np
         )
     upper = g.upper.tolist()
     lower = g.lower.tolist()
-    lo = 0.0
-    hi = gamma
-    v_lo: np.ndarray | None = None
-    s_lo = math.nan
-    for it in range(_MAX_BISECTIONS):
-        mid = hi / 2.0 if lo == 0.0 else math.sqrt(lo * hi)
+    # Phase 1: smallest k in (k_lo, k_hi] whose sweep is below the rate.
+    k_lo = 0
+    k_hi = math.ceil(log_s0 / math.log(2.0)) + 1
+    below, v_lo, s_lo = _flux_sweep(math.ldexp(gamma, -k_hi), upper, lower, gamma, n)
+    sweeps = 1
+    if not below:
+        raise ConvergenceError(
+            "flux sweep at the lower bound gamma / 2^%d is not below the decay rate"
+            % k_hi,
+            iterations=sweeps,
+        )
+    while k_hi - k_lo > 1:
+        k = (k_lo + k_hi) // 2
+        below, v, s = _flux_sweep(math.ldexp(gamma, -k), upper, lower, gamma, n)
+        sweeps += 1
+        if below:
+            k_hi, v_lo, s_lo = k, v, s
+        else:
+            k_lo = k
+    lo = math.ldexp(gamma, -k_hi)
+    hi = math.ldexp(gamma, -k_hi + 1)
+    # Phase 2: geometric bisection of the factor-2 bracket.
+    for _ in range(_MAX_BISECTIONS):
+        mid = math.sqrt(lo * hi)
         if not lo < mid < hi:
             break
         below, v, s = _flux_sweep(mid, upper, lower, gamma, n)
@@ -236,17 +281,12 @@ def _solve_dominant_flux(g: TransientGenerator, gamma: float) -> tuple[float, np
             lo, v_lo, s_lo = mid, v, s
         else:
             hi = mid
-        if lo > 0.0 and hi - lo <= _BRACKET_RTOL * hi:
+        if hi - lo <= _BRACKET_RTOL * hi:
             break
     else:
         raise ConvergenceError(
             f"flux bisection did not reach bracket tolerance {_BRACKET_RTOL:g}",
-            iterations=_MAX_BISECTIONS,
-        )
-    if v_lo is None:
-        raise ConvergenceError(
-            "flux bisection never found a point below the decay rate",
-            iterations=it + 1,
+            iterations=sweeps + _MAX_BISECTIONS,
         )
     # Polish: at the converged sweep the eigen-identity pins theta to
     # gamma / S_n, which lands inside (lo, theta*] and makes the reported

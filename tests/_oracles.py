@@ -4,7 +4,10 @@ Everything here is deliberately written by a different route than the
 library code it checks: dense matrices instead of banded storage, a
 Poisson-series propagator instead of the spectral one, raw ratio
 recurrences instead of log-gamma closed forms, LAPACK's stebz/stein
-eigenpair instead of the flux recurrence.
+eigenpair instead of the flux recurrence.  The one exception is
+flux_bisection_reference, a frozen copy of the flux solver as it stood
+before its halving phase became a binary search; it pins the library's
+output bit for bit rather than checking it by another route.
 """
 
 import math
@@ -12,7 +15,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from sisq.chain import ModelParams, build_transient_generator
+from sisq.chain import ModelParams, TransientGenerator, build_transient_generator
 from sisq.spectral import ConvergenceError, SymmetrizedGenerator
 
 
@@ -121,3 +124,84 @@ def dominant_eigenpair(s: SymmetrizedGenerator) -> tuple[float, np.ndarray]:
             f"dominant eigenpair residual {resid:.3e} exceeds {bound:.3e}"
         )
     return lam1, u1
+
+
+_BRACKET_RTOL = 1e-12
+_MAX_BISECTIONS = 2000
+_MAX_LOG_FLUX_SUM = 280.0 * math.log(10.0)
+
+
+def _log_flux_sum_at_zero(upper: np.ndarray, lower: np.ndarray, gamma: float) -> float:
+    log_gamma = math.log(gamma)
+    lu = np.log(upper)
+    ll = np.log(lower)
+    lv = 0.0
+    ls = 0.0
+    for k in range(upper.size):
+        lv = np.logaddexp(lu[k] + lv, log_gamma) - ll[k]
+        ls = np.logaddexp(ls, lv)
+    return float(ls)
+
+
+def _flux_sweep(
+    theta: float, upper: list, lower: list, gamma: float, n: int
+) -> tuple[bool, np.ndarray | None, float]:
+    v = np.empty(n)
+    v[0] = 1.0
+    s = 1.0
+    for k in range(n - 1):
+        vn = (upper[k] * v[k] + gamma - theta * s) / lower[k]
+        if not vn > 0.0 or vn == math.inf:
+            return False, None, s
+        v[k + 1] = vn
+        s += vn
+    return gamma - theta * s > 0.0, v, s
+
+
+def flux_bisection_reference(g: TransientGenerator, gamma: float) -> tuple[float, np.ndarray]:
+    """Decay rate theta = -lambda1 and QSD by the original flux bisection.
+
+    Halves theta down from gamma one sweep at a time until a sweep lies
+    below the decay rate, then bisects geometrically.  Kept verbatim, with
+    its sweep and theta = 0 helpers, so the library solver can be held to
+    the same bits.
+    """
+    n = g.n
+    if n == 1:
+        return gamma, np.ones(1)
+    log_s0 = _log_flux_sum_at_zero(g.upper, g.lower, gamma)
+    if log_s0 > _MAX_LOG_FLUX_SUM:
+        raise OverflowError(
+            "dominant eigenvalue magnitude ~ gamma*exp(-%.4g) underflows double "
+            "precision at these parameters; the spectral route cannot represent it"
+            % log_s0
+        )
+    upper = g.upper.tolist()
+    lower = g.lower.tolist()
+    lo = 0.0
+    hi = gamma
+    v_lo: np.ndarray | None = None
+    s_lo = math.nan
+    for it in range(_MAX_BISECTIONS):
+        mid = hi / 2.0 if lo == 0.0 else math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            break
+        below, v, s = _flux_sweep(mid, upper, lower, gamma, n)
+        if below:
+            lo, v_lo, s_lo = mid, v, s
+        else:
+            hi = mid
+        if lo > 0.0 and hi - lo <= _BRACKET_RTOL * hi:
+            break
+    else:
+        raise ConvergenceError(
+            f"flux bisection did not reach bracket tolerance {_BRACKET_RTOL:g}",
+            iterations=_MAX_BISECTIONS,
+        )
+    if v_lo is None:
+        raise ConvergenceError(
+            "flux bisection never found a point below the decay rate",
+            iterations=it + 1,
+        )
+    theta = gamma / s_lo
+    return theta, v_lo / s_lo
