@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sisq.chain import ModelParams
-from sisq.stationary import check_probability_vector
+from sisq.stationary import check_probability_vector, log_stationary_weights
 
 __all__ = [
     "MAX_LOGGED_EVENTS",
@@ -59,6 +59,11 @@ __all__ = [
 MAX_LOGGED_EVENTS = 10**7
 
 _BLOCK = 1024
+
+# Refuse extinction sampling whose expected event count exceeds this:
+# about 40 minutes at the ~4M events/s the sampler loop runs on a 2-core
+# x86-64 host.
+_MAX_EXPECTED_EVENTS = 1e10
 
 
 class ZeroSurvivorsError(RuntimeError):
@@ -446,8 +451,12 @@ def extinction_time_samples(
     The initial state comes from inverse-CDF sampling of `init` with the
     tie rule "first index whose cumulative sum reaches u"; the uniform for
     that draw is the first draw of the replicate's stream.  There is no
-    horizon: each replicate runs until absorption, so use parameter
-    regimes where extinction is actually reachable.
+    horizon: each replicate runs until absorption.  Instead the run is
+    refused up front when replicates * gamma * E_1[T] exceeds
+    _MAX_EXPECTED_EVENTS (1e10).  That product bounds the expected event
+    count from below for any init: every transient state fires events at
+    rate at least gamma, and every path to extinction passes state 1, so
+    E_init[T] >= E_1[T].
 
     Args:
         init: distribution over states 1..n (entry k is state k + 1).
@@ -458,5 +467,16 @@ def extinction_time_samples(
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
     init_cum = np.cumsum(check_probability_vector(init, p.n))
+    # log(replicates * gamma * E_1[T]), gamma * E_1[T] being the sum of
+    # the weights as in log_expected_extinction_time.  Summed with numpy's
+    # logaddexp: scipy's logsumexp would map in ~0.45 MB of code (scipy
+    # 1.17, x86-64 Linux) in a process that otherwise never calls it.
+    log_events = math.log(replicates) + float(np.logaddexp.reduce(log_stationary_weights(p)))
+    if log_events > math.log(_MAX_EXPECTED_EVENTS):
+        raise ValueError(
+            f"extinction sampling needs at least ~1e{log_events / math.log(10.0):.0f} "
+            "expected events (replicates * gamma * E_1[T]), beyond the budget of "
+            f"1e{math.log10(_MAX_EXPECTED_EVENTS):.0f} events; use the exact or qsd method"
+        )
     times = [t for _, t in _fan_out(p, init_cum, math.inf, seed, replicates, workers)]
     return ExtinctionSamples(times=np.asarray(times))

@@ -32,9 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import logsumexp
 
-from sisq.chain import ModelParams, TransientGenerator, build_transient_generator
-from sisq.stationary import stationary_distribution
+from sisq.chain import ModelParams, build_transient_generator
+from sisq.stationary import log_stationary_weights
 
 __all__ = [
     "ConvergenceError",
@@ -92,20 +93,18 @@ class SymmetrizedGenerator:
         n: dimension.
         diag: main diagonal, length n.
         offdiag: off-diagonal, length n - 1, strictly positive.
-        weights: the stationary vector pi defining W = diag(pi).
-        log_weights: log of the detailed-balance weights recovered from
-            the rates, shifted so the maximum entry is 0.  Used for all
-            de-symmetrization instead of weights, which may underflow.
+        log_weights: log of the detailed-balance weights W, shifted so the
+            maximum entry is 0.  Kept in log form because the weights
+            themselves span hundreds of orders of magnitude.
     """
 
     n: int
     diag: np.ndarray
     offdiag: np.ndarray
-    weights: np.ndarray
     log_weights: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("diag", "offdiag", "weights", "log_weights"):
+        for name in ("diag", "offdiag", "log_weights"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -138,55 +137,44 @@ class SpectralResult:
                 object.__setattr__(self, name, arr)
 
 
-def symmetrize(g: TransientGenerator, pi: np.ndarray) -> SymmetrizedGenerator:
-    """Similarity-transform the generator by the stationary weights.
+def symmetrize(p: ModelParams) -> SymmetrizedGenerator:
+    """Similarity-transform the transient generator by the stationary weights.
 
-    Args:
-        g: transient generator.
-        pi: stationary distribution of the restarted chain for the same
-            parameters; entries must be strictly positive.
+    The weights are the closed-form log_stationary_weights(p); nothing is
+    exponentiated here, so this never fails for valid parameters.  Whether
+    the weights fit double precision is checked by full_decomposition,
+    the one consumer that needs them outside log space.
 
     Returns:
-        SymmetrizedGenerator with the same spectrum as g.
+        SymmetrizedGenerator with the same spectrum as the generator.
     """
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (g.n,):
-        raise ValueError(f"pi must have length {g.n}, got shape {pi.shape}")
-    if np.any(pi <= 0.0) or not np.all(np.isfinite(pi)):
-        raise ValueError(
-            f"pi entries must be strictly positive and finite (min {pi.min()!r}); "
-            "weights outside double-precision range are not supported here"
-        )
-    if g.n == 1:
-        log_w = np.zeros(1)
-    else:
-        log_w = np.concatenate(([0.0], np.cumsum(np.log(g.upper) - np.log(g.lower))))
-        log_w -= log_w.max()
+    g = build_transient_generator(p)
+    log_w = log_stationary_weights(p)
     return SymmetrizedGenerator(
         n=g.n,
         diag=g.diag,
         offdiag=np.sqrt(g.upper * g.lower),
-        weights=pi,
-        log_weights=log_w,
+        log_weights=log_w - log_w.max(),
     )
 
 
-def _log_flux_sum_at_zero(upper: np.ndarray, lower: np.ndarray, gamma: float) -> float:
+def _log_flux_sum_at_zero(p: ModelParams) -> float:
     """Log of the flux sum S at trial rate theta = 0, an upper bound in theta.
 
     The theta = 0 sweep dominates every other trial value entry-wise, so
     it certifies that the double-precision bisection below cannot
-    overflow mid-sweep.
+    overflow mid-sweep.  In closed form its terms are
+    v_j = w_j * (1 + sum_{k<j} gamma / (b_k * w_k)) with w the
+    detailed-balance weights (w_1 = 1) and b_k the birth rates, so S(0) is
+    a running logaddexp and one log-sum-exp over log_stationary_weights.
     """
-    log_gamma = math.log(gamma)
-    lu = np.log(upper)
-    ll = np.log(lower)
-    lv = 0.0
-    ls = 0.0
-    for k in range(upper.size):
-        lv = np.logaddexp(lu[k] + lv, log_gamma) - ll[k]
-        ls = np.logaddexp(ls, lv)
-    return float(ls)
+    lw = log_stationary_weights(p)
+    g = build_transient_generator(p)
+    terms = np.concatenate(([0.0], math.log(p.gamma) - np.log(g.upper) - lw[:-1]))
+    # numpy's reduce rather than scipy's logsumexp: every QSD solve runs
+    # this, and the first logsumexp call in a process maps in ~0.45 MB of
+    # code (scipy 1.17, x86-64 Linux).
+    return float(np.logaddexp.reduce(lw + np.logaddexp.accumulate(terms)))
 
 
 def _flux_sweep(
@@ -214,7 +202,7 @@ def _flux_sweep(
     return gamma - theta * s > 0.0, v, s
 
 
-def _solve_dominant_flux(g: TransientGenerator, gamma: float) -> tuple[float, np.ndarray]:
+def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
     """Dominant decay rate theta = -lambda1 and QSD by flux bisection.
 
     Two phases.  The first brackets theta* between gamma / 2^k and
@@ -238,16 +226,18 @@ def _solve_dominant_flux(g: TransientGenerator, gamma: float) -> tuple[float, np
         ConvergenceError: the sweep at gamma / 2^k_hi is not below the
             rate, so the lower bound failed; iterations is the sweep count.
     """
-    n = g.n
+    n = p.n
+    gamma = p.gamma
     if n == 1:
         return gamma, np.ones(1)
-    log_s0 = _log_flux_sum_at_zero(g.upper, g.lower, gamma)
+    log_s0 = _log_flux_sum_at_zero(p)
     if log_s0 > _MAX_LOG_FLUX_SUM:
         raise OverflowError(
             "dominant eigenvalue magnitude ~ gamma*exp(-%.4g) underflows double "
             "precision at these parameters; the spectral route cannot represent it"
             % log_s0
         )
+    g = build_transient_generator(p)
     upper = g.upper.tolist()
     lower = g.lower.tolist()
     # Phase 1: smallest k in (k_lo, k_hi] whose sweep is below the rate.
@@ -297,8 +287,7 @@ def _solve_dominant_flux(g: TransientGenerator, gamma: float) -> tuple[float, np
 
 @lru_cache(maxsize=128)
 def _dominant_cached(p: ModelParams) -> SpectralResult:
-    g = build_transient_generator(p)
-    theta, qsd = _solve_dominant_flux(g, p.gamma)
+    theta, qsd = _solve_dominant_flux(p)
     return SpectralResult(lambda1=-theta, qsd=qsd)
 
 
@@ -350,13 +339,21 @@ def full_decomposition(s: SymmetrizedGenerator) -> SpectralResult:
 
     The quasi-stationary vector is recovered from the top eigenvector u1
     as u1 * W^(1/2), normalized to sum 1; eigenvectors are orthonormal to
-    1e-10 (LAPACK).  Refused above FULL_DECOMPOSITION_SIZE_CAP before any
-    allocation.
+    1e-10 (LAPACK).  Refused before any allocation above
+    FULL_DECOMPOSITION_SIZE_CAP, and with ValueError when a normalized
+    detailed-balance weight underflows double precision.  The second is
+    the real limit: the largest accepted n is 439 at R0 = 0.5, 778 at
+    1.05, 891 at 1.2, 1488 at 2 and 925 at 5.
     """
     if s.n > FULL_DECOMPOSITION_SIZE_CAP:
         raise SizeCapError(
             f"n={s.n} exceeds the dense decomposition cap "
             f"{FULL_DECOMPOSITION_SIZE_CAP}"
+        )
+    if not np.all(np.exp(s.log_weights - logsumexp(s.log_weights)) > 0.0):
+        raise ValueError(
+            "detailed-balance weight span exceeds double precision; the dense "
+            "spectral route is unavailable at these parameters"
         )
     if s.n == 1:
         return SpectralResult(
@@ -369,18 +366,12 @@ def full_decomposition(s: SymmetrizedGenerator) -> SpectralResult:
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
-    sqw = np.exp(0.5 * s.log_weights)
-    if sqw.min() <= 0.0:
-        raise ValueError(
-            "detailed-balance weight span exceeds double precision; the dense "
-            "spectral route is unavailable at these parameters"
-        )
     u1 = evecs[:, 0]
     if u1[np.argmax(np.abs(u1))] < 0.0:
         u1 = -u1
         evecs = evecs.copy()
         evecs[:, 0] = u1
-    q = u1 * sqw
+    q = u1 * np.exp(0.5 * s.log_weights)
     q = q / q.sum()
     return SpectralResult(
         lambda1=float(evals[0]), qsd=q, eigenvalues=evals, basis=evecs
@@ -395,8 +386,7 @@ def _propagator_parts(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
             f"n={p.n} exceeds the dense decomposition cap "
             f"{FULL_DECOMPOSITION_SIZE_CAP}"
         )
-    g = build_transient_generator(p)
-    s = symmetrize(g, stationary_distribution(p))
+    s = symmetrize(p)
     r = full_decomposition(s)
     sqw = np.exp(0.5 * s.log_weights)
     right = r.basis / sqw[:, None]
@@ -406,32 +396,39 @@ def _propagator_parts(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return r.eigenvalues, right, left
 
 
-def transition_matrix(p: ModelParams, t: float) -> np.ndarray:
-    """Dense matrix exp(Q t) over the transient states, entry (i-1, j-1).
+def _propagate(p: ModelParams, t: float, rows: int | slice) -> np.ndarray:
+    """Rows of exp(Q t) (0-based index or slice), clipped to [0, 1].
 
     Assembled from the spectral decomposition as
-    sum_k exp(lambda_k t) (W^(-1/2) u_k)(u_k^T W^(1/2)); entries are
-    clipped to [0, 1], where roundoff can stray by a few ulp.
+    sum_k exp(lambda_k t) (W^(-1/2) u_k)(u_k^T W^(1/2)), so one row costs
+    O(n^2) once the decomposition is cached.
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
     evals, right, left = _propagator_parts(p)
-    mat = (right * np.exp(evals * t)) @ left.T
-    return np.clip(mat, 0.0, 1.0)
+    return np.clip((right[rows] * np.exp(evals * t)) @ left.T, 0.0, 1.0)
+
+
+def transition_matrix(p: ModelParams, t: float) -> np.ndarray:
+    """Dense matrix exp(Q t) over the transient states, entry (i-1, j-1).
+
+    Entries are clipped to [0, 1], where roundoff can stray by a few ulp.
+    """
+    return _propagate(p, t, slice(None))
 
 
 def transition_probability(p: ModelParams, t: float, i: int, j: int) -> float:
     """P(Y(t) = j and not yet extinct | Y(0) = i), states 1-based."""
     if not (1 <= i <= p.n and 1 <= j <= p.n):
         raise ValueError(f"states must lie in 1..{p.n}, got i={i}, j={j}")
-    return float(transition_matrix(p, t)[i - 1, j - 1])
+    return float(_propagate(p, t, i - 1)[j - 1])
 
 
 def conditioned_distribution(p: ModelParams, t: float, i: int) -> np.ndarray:
     """Distribution of Y(t) given survival to t and Y(0) = i; sums to 1."""
     if not 1 <= i <= p.n:
         raise ValueError(f"state must lie in 1..{p.n}, got {i}")
-    row = transition_matrix(p, t)[i - 1]
+    row = _propagate(p, t, i - 1)
     total = row.sum()
     if total <= 0.0:
         raise ValueError(f"survival probability underflowed at t={t!r}")

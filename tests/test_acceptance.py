@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from _oracles import dense_transient, uniformization
-from sisq.chain import ModelParams, build_transient_generator
+from sisq.chain import ModelParams
 from sisq.cli import main
 from sisq.clt import endemic_normal, integrate_variance_ode, variance_at
 from sisq.sim import SeedSpec, conditioned_ensemble, extinction_time_samples, simulate_restarted
@@ -78,7 +78,7 @@ def test_criterion_03_projector_identities():
     worst_sum = worst_pair = worst_left = 0.0
     for n, lam in grid:
         p = ModelParams(n, lam, 1.0)
-        s = symmetrize(build_transient_generator(p), stationary_distribution(p))
+        s = symmetrize(p)
         r = full_decomposition(s)
         sqw = np.exp(0.5 * s.log_weights)
         right = r.basis / sqw[:, None]

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,16 @@ def test_extinction_time_simulate_requires_seed(capsys):
                            "--method", "simulate")
     assert code == 1
     assert "seed" in err
+
+
+def test_extinction_time_simulate_refuses_past_event_budget(capsys):
+    # about 1e87 expected events: refused before the first draw
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "extinction-time", "--n", "1000", "--r0", "2",
+                           "--method", "simulate", "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error:") and "budget of 1e10 events" in err
 
 
 def test_compare_long_format(capsys):

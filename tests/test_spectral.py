@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 import sisq.spectral
 from _oracles import (
+    _log_flux_sum_at_zero,
     dense_full,
     dense_transient,
     dominant_eigenpair,
     flux_bisection_reference,
+    ratio_log_weights,
     uniformization,
 )
 from sisq.chain import ModelParams, birth_rate, build_transient_generator, death_rate
@@ -18,7 +20,6 @@ from sisq.spectral import (
     FULL_DECOMPOSITION_SIZE_CAP,
     ConvergenceError,
     SizeCapError,
-    SymmetrizedGenerator,
     conditioned_distribution,
     conditioned_probability,
     expected_time_qsd,
@@ -29,23 +30,18 @@ from sisq.spectral import (
     transition_matrix,
     transition_probability,
 )
-from sisq.stationary import stationary_distribution
 
 N2_LAMBDA1 = (-3.5 + math.sqrt(4.25)) / 2.0
 
 
-def _symmetrized(p: ModelParams):
-    return symmetrize(build_transient_generator(p), stationary_distribution(p))
-
-
 def test_symmetrize_single_state():
-    s = _symmetrized(ModelParams(1, 1.0, 1.0))
+    s = symmetrize(ModelParams(1, 1.0, 1.0))
     assert s.diag.tolist() == [-1.0]
     assert s.offdiag.size == 0
 
 
 def test_symmetrize_hand_values_n2():
-    s = _symmetrized(ModelParams(2, 1.0, 1.0))
+    s = symmetrize(ModelParams(2, 1.0, 1.0))
     assert s.diag.tolist() == [-1.5, -2.0]
     assert s.offdiag.tolist() == [1.0]
 
@@ -53,21 +49,29 @@ def test_symmetrize_hand_values_n2():
 def test_symmetrize_diag_unchanged_offdiag_from_rates():
     p = ModelParams(13, 3.0, 0.7)
     g = build_transient_generator(p)
-    s = symmetrize(g, stationary_distribution(p))
+    s = symmetrize(p)
     assert np.array_equal(s.diag, g.diag)
     for k in range(p.n - 1):
         assert s.offdiag[k] == pytest.approx(
             math.sqrt(birth_rate(k + 1, p) * death_rate(k + 2, p)), rel=1e-15)
+    want = ratio_log_weights(p)
+    assert np.abs(s.log_weights - (want - want.max())).max() <= 1e-12
 
 
-def test_symmetrize_rejects_bad_weights():
-    g = build_transient_generator(ModelParams(3, 1.0))
-    with pytest.raises(ValueError):
-        symmetrize(g, np.array([0.5, 0.5, 0.0]))
-    with pytest.raises(ValueError):
-        symmetrize(g, np.array([0.5, -0.1, 0.6]))
-    with pytest.raises(ValueError):
-        symmetrize(g, np.array([0.5, 0.5]))
+# The dense route refuses exactly where a normalized detailed-balance
+# weight underflows; these are its edges at R0 = 2, 5 and 0.5, plus the
+# points the benchmark's edge probe tries.
+@pytest.mark.parametrize("n, r0, refused", [
+    (1489, 2.0, True), (1488, 2.0, False), (926, 5.0, True), (440, 0.5, True),
+    (2000, 2.0, True), (4096, 0.5, True), (4096, 1.05, True),
+])
+def test_dense_route_refusal_edge(n, r0, refused):
+    p = ModelParams(n, r0, 1.0)
+    if refused:
+        with pytest.raises(ValueError):
+            transition_matrix(p, 1.0)
+    else:
+        assert transition_matrix(p, 1.0).shape == (n, n)
 
 
 def test_symmetrized_spectrum_equals_dense_spectrum():
@@ -78,20 +82,20 @@ def test_symmetrized_spectrum_equals_dense_spectrum():
     # eps * sqrt(weight span)) and it stops being a 1e-8 reference.
     for n, lam in ((5, 1.0), (20, 3.0), (50, 2.0)):
         p = ModelParams(n, lam, 1.0)
-        got = np.sort(full_decomposition(_symmetrized(p)).eigenvalues)
+        got = np.sort(full_decomposition(symmetrize(p)).eigenvalues)
         want = np.sort(np.linalg.eigvals(dense_transient(p)).real)
         scale = np.abs(dense_transient(p)).sum(axis=1).max()
         assert np.allclose(got, want, rtol=0.0, atol=1e-8 * scale)
 
 
 def test_dominant_eigenpair_single_state():
-    lam1, u1 = dominant_eigenpair(_symmetrized(ModelParams(1, 2.0, 1.0)))
+    lam1, u1 = dominant_eigenpair(symmetrize(ModelParams(1, 2.0, 1.0)))
     assert lam1 == -1.0
     assert u1.tolist() == [1.0]
 
 
 def test_dominant_eigenpair_hand_value_n2():
-    lam1, u1 = dominant_eigenpair(_symmetrized(ModelParams(2, 1.0, 1.0)))
+    lam1, u1 = dominant_eigenpair(symmetrize(ModelParams(2, 1.0, 1.0)))
     assert lam1 == pytest.approx(N2_LAMBDA1, rel=1e-12)
     assert np.all(u1 > 0.0)
     assert np.linalg.norm(u1) == pytest.approx(1.0, rel=1e-12)
@@ -99,14 +103,14 @@ def test_dominant_eigenpair_hand_value_n2():
 
 def test_dominant_eigenpair_positive_and_unit():
     for p in (ModelParams(10, 0.5), ModelParams(40, 2.0), ModelParams(25, 1.0, 3.0)):
-        lam1, u1 = dominant_eigenpair(_symmetrized(p))
+        lam1, u1 = dominant_eigenpair(symmetrize(p))
         assert lam1 < 0.0
         assert np.all(u1 > 0.0)
         assert np.linalg.norm(u1) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_spectral_gap_hand_values_n2():
-    r = full_decomposition(_symmetrized(ModelParams(2, 1.0, 1.0)))
+    r = full_decomposition(symmetrize(ModelParams(2, 1.0, 1.0)))
     assert r.eigenvalues[0] == pytest.approx(N2_LAMBDA1, rel=1e-12)
     assert r.eigenvalues[1] == pytest.approx((-3.5 - math.sqrt(4.25)) / 2.0, rel=1e-12)
     assert r.eigenvalues[0] > r.eigenvalues[1]
@@ -155,9 +159,9 @@ def test_flux_and_lapack_routes_agree():
     for p in (ModelParams(10, 0.5), ModelParams(10, 2.0), ModelParams(30, 1.0, 2.5),
               ModelParams(50, 1.5, 1.0)):
         r = quasi_stationary_distribution(p)
-        lam1, u1 = dominant_eigenpair(_symmetrized(p))
+        lam1, u1 = dominant_eigenpair(symmetrize(p))
         assert r.lambda1 == pytest.approx(lam1, rel=1e-9)
-        q_full = full_decomposition(_symmetrized(p)).qsd
+        q_full = full_decomposition(symmetrize(p)).qsd
         assert np.allclose(r.qsd, q_full, rtol=1e-9, atol=1e-12)
 
 
@@ -184,13 +188,13 @@ def test_survival_probability():
 
 
 def test_full_decomposition_single_state():
-    r = full_decomposition(_symmetrized(ModelParams(1, 1.0, 3.0)))
+    r = full_decomposition(symmetrize(ModelParams(1, 1.0, 3.0)))
     assert r.eigenvalues.tolist() == [-3.0]
     assert r.qsd.tolist() == [1.0]
 
 
 def test_full_decomposition_descending_orthonormal():
-    r = full_decomposition(_symmetrized(ModelParams(40, 2.0, 1.0)))
+    r = full_decomposition(symmetrize(ModelParams(40, 2.0, 1.0)))
     assert np.all(np.diff(r.eigenvalues) < 0.0)
     gram = r.basis.T @ r.basis
     assert np.abs(gram - np.eye(40)).max() <= 1e-10
@@ -199,21 +203,13 @@ def test_full_decomposition_descending_orthonormal():
 def test_full_decomposition_trace_identity():
     p = ModelParams(40, 2.0, 1.0)
     g = build_transient_generator(p)
-    r = full_decomposition(_symmetrized(p))
+    r = full_decomposition(symmetrize(p))
     assert r.eigenvalues.sum() == pytest.approx(g.diag.sum(), rel=1e-9)
 
 
 def test_full_decomposition_size_cap():
-    # built by hand: at this size any genuine stationary vector has
-    # underflowed-to-zero entries, which symmetrize rightly rejects
-    n = FULL_DECOMPOSITION_SIZE_CAP + 1
-    s = SymmetrizedGenerator(
-        n=n,
-        diag=np.full(n, -2.0),
-        offdiag=np.full(n - 1, 0.5),
-        weights=np.full(n, 1.0 / n),
-        log_weights=np.zeros(n),
-    )
+    # the weights at this size underflow too; the cap is checked first
+    s = symmetrize(ModelParams(FULL_DECOMPOSITION_SIZE_CAP + 1, 2.0))
     with pytest.raises(SizeCapError):
         full_decomposition(s)
 
@@ -272,6 +268,25 @@ def test_transition_matrix_matches_uniformization():
         got = transition_matrix(p, t)
         want = uniformization(dense_transient(p), t)
         assert np.abs(got - want).max() <= 1e-8
+
+
+def test_single_rows_do_not_assemble_the_matrix(monkeypatch):
+    # points inside the dense route's accurate range: past it both paths
+    # return rounding noise (the n200 xfail), which differs between them
+    cases = [(ModelParams(n, lam, 1.0), t, i)
+             for n, lam in ((2, 1.0), (5, 2.0), (12, 2.0), (20, 3.0))
+             for t in (0.0, 0.7, 5.0) for i in (1, n // 2 + 1, n)]
+    want = [transition_matrix(p, t)[i - 1] for p, t, i in cases]
+
+    def refuse(*args):
+        raise AssertionError("transition_matrix called")
+
+    monkeypatch.setattr(sisq.spectral, "transition_matrix", refuse)
+    for (p, t, i), row in zip(cases, want):
+        got = conditioned_distribution(p, t, i)
+        assert np.abs(got - row / row.sum()).max() <= 1e-14
+        for j in (1, p.n):
+            assert abs(transition_probability(p, t, i, j) - row[j - 1]) <= 1e-14
 
 
 def test_conditioned_distribution_rows_sum_to_one():
@@ -379,8 +394,7 @@ def _count_flux_sweeps(monkeypatch) -> list:
 def test_flux_solver_sweep_count(monkeypatch, n, r0):
     # the halving walk took 317 and 503 sweeps at these points
     calls = _count_flux_sweeps(monkeypatch)
-    p = ModelParams(n, r0, 1.0)
-    sisq.spectral._solve_dominant_flux(build_transient_generator(p), p.gamma)
+    sisq.spectral._solve_dominant_flux(ModelParams(n, r0, 1.0))
     assert len(calls) <= 60
 
 
@@ -389,7 +403,18 @@ def test_flux_solver_names_failed_lower_bound(monkeypatch):
     # far above the true rate at (1000, 2): refuse, never bracket wrongly
     calls = _count_flux_sweeps(monkeypatch)
     monkeypatch.setattr(sisq.spectral, "_log_flux_sum_at_zero", lambda *args: 0.0)
-    p = ModelParams(1000, 2.0, 1.0)
     with pytest.raises(ConvergenceError, match="lower bound") as info:
-        sisq.spectral._solve_dominant_flux(build_transient_generator(p), p.gamma)
+        sisq.spectral._solve_dominant_flux(ModelParams(1000, 2.0, 1.0))
     assert info.value.iterations == len(calls) == 1
+
+
+@pytest.mark.parametrize("n, r0, gamma", _FLUX_ORACLE_GRID)
+def test_flux_sum_at_zero_closed_form(n, r0, gamma):
+    # the closed form against the frozen logaddexp loop it replaced,
+    # including the exponent bound k_hi the binary search starts from
+    p = ModelParams(n, r0 * gamma, gamma)
+    g = build_transient_generator(p)
+    got = sisq.spectral._log_flux_sum_at_zero(p)
+    want = _log_flux_sum_at_zero(g.upper, g.lower, gamma)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert math.ceil(got / math.log(2.0)) == math.ceil(want / math.log(2.0))
