@@ -47,8 +47,6 @@ __all__ = ["main"]
 
 
 def _fmt_cell(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
@@ -226,25 +224,37 @@ def _cmd_compare(args) -> int:
 
 
 def _trajectory_output(args, tr) -> None:
+    # The event log can hold millions of rows, so each column becomes a
+    # list once and is formatted by a single map.  The bytes are the ones
+    # _write_csv and _write_json would write.
+    times = tr.times.tolist()
+    states = tr.states.tolist()
+    flags = tr.restart_flags.astype(int).tolist()
     if args.format == "csv":
-        rows = list(zip(tr.times, tr.states, tr.restart_flags))
-        rows = [(float(t), int(s), bool(f)) for t, s, f in rows]
-        _write_csv(args.output, ["time", "state", "restart_flag"], rows)
-    else:
-        _write_json(args.output, {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "mode": args.mode,
-            "params": _params_json(_params_from_args(args)),
-            "t_end": tr.t_end,
-            "final_state": tr.final_state,
-            "n_events": tr.n_events,
-            "n_restarts": tr.n_restarts,
-            "log_truncated": tr.log_truncated,
-            "time": [float(t) for t in tr.times],
-            "state": [int(s) for s in tr.states],
-            "restart_flag": [int(f) for f in tr.restart_flags],
-        })
+        rows = "\n".join(map("{!r},{},{}".format, times, states, flags))
+        _write_text(args.output, "time,state,restart_flag\n" + rows + "\n")
+        return
+    head = json.dumps({
+        "schema_version": SCHEMA_VERSION,
+        "command": "simulate",
+        "mode": args.mode,
+        "params": _params_json(_params_from_args(args)),
+        "t_end": tr.t_end,
+        "final_state": tr.final_state,
+        "n_events": tr.n_events,
+        "n_restarts": tr.n_restarts,
+        "log_truncated": tr.log_truncated,
+    }, indent=2)
+    # json.dumps never uses its C encoder when indent is set, so the
+    # columns (never empty: the log starts with the initial row) are
+    # spliced in with the layout indent=2 gives them.
+    columns = "".join(
+        f',\n  "{key}": [\n    ' + ",\n    ".join(map(fmt, col)) + "\n  ]"
+        for key, fmt, col in (("time", float.__repr__, times),
+                              ("state", int.__repr__, states),
+                              ("restart_flag", int.__repr__, flags))
+    )
+    _write_text(args.output, head[:-2] + columns + "\n}\n")
 
 
 def _cmd_simulate(args) -> int:

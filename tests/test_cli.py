@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sisq
+import sisq.sim
 from sisq.chain import ModelParams
 from sisq.cli import main
 from sisq.clt import expected_time_clt, q1_normal_approx
@@ -241,6 +243,63 @@ def test_simulate_json_trajectory(capsys):
     assert doc["state"][0] == 1
     assert len(doc["time"]) == len(doc["state"]) == len(doc["restart_flag"])
     assert doc["log_truncated"] is False
+
+
+# sha256 of each trajectory export, identical to --output FILE and to
+# stdout.  The cases cover restart rows, a plain run, a single logged row
+# (t-max below the first wait) and a log cut at MAX_LOGGED_EVENTS = 5.
+_TRAJECTORY_CASES = {
+    "restarted": (("--mode", "restarted", "--n", "10", "--r0", "2",
+                   "--t-max", "50", "--seed", "1"), None),
+    "plain": (("--mode", "plain", "--n", "10", "--r0", "2", "--y0", "5",
+               "--t-max", "5", "--seed", "3"), None),
+    "one_row": (("--mode", "plain", "--n", "10", "--r0", "2",
+                 "--t-max", "0.01", "--seed", "2"), None),
+    "truncated": (("--mode", "restarted", "--n", "10", "--r0", "2",
+                   "--t-max", "50", "--seed", "1"), 5),
+}
+_TRAJECTORY_SHA256 = {
+    ("restarted", "csv"):
+        "72821e97a15f1ca4e827cc3667e7ae99440f8f8e8d5492c773548d3858048cb1",
+    ("restarted", "json"):
+        "cd7441e65bc347613a83ee56bc5343e47f465699d6703d97a8a3bca40ab77e9d",
+    ("plain", "csv"):
+        "00186cf8269c396811056ec64c4e1183a36dd6ffc3a2fafb57d9f63de69e8afb",
+    ("plain", "json"):
+        "07fb213ad22ed417d5be977596dba4c4ad6dedaa0aa4dba5fe7907f1e2417b73",
+    ("one_row", "csv"):
+        "1e30e2067e32c0c8030aad501c1757f0c0144a2753dfbed2f3c56fe1561f7ea7",
+    ("one_row", "json"):
+        "89a50ae0ba70215e1264c926fe84d4903931124014789943c3edd606226ffe88",
+    ("truncated", "csv"):
+        "ea91241e0fb5b76853df75ab9e29be39486d1a716642fb71d96843f2857f16c2",
+    ("truncated", "json"):
+        "0502fd4592c0914ef7d030ea05cc2e670205e60d5e4e9dd02d7ab1d00f4184f6",
+}
+
+
+@pytest.mark.parametrize("case,fmt", sorted(_TRAJECTORY_SHA256))
+def test_trajectory_output_bytes_are_pinned(case, fmt, tmp_path, capsys, monkeypatch):
+    flags, cap = _TRAJECTORY_CASES[case]
+    if cap is not None:
+        monkeypatch.setattr(sisq.sim, "MAX_LOGGED_EVENTS", cap)
+    argv = ("simulate", *flags, "--format", fmt)
+    target = tmp_path / f"traj.{fmt}"
+    assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+    code, out, err = run_cli(capsys, *argv, "--output", "-")
+    assert code == 0 and err == ""
+    data = target.read_bytes()
+    assert out.encode() == data
+    assert hashlib.sha256(data).hexdigest() == _TRAJECTORY_SHA256[case, fmt]
+    if fmt == "json":
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert doc["log_truncated"] is (cap is not None)
+        flags = doc["restart_flag"]
+    else:
+        flags = [int(row[2]) for row in parse_csv(out)[1]]
+    assert len(flags) == {"one_row": 1, "truncated": 6}.get(case, len(flags))
+    assert (1 in flags) is (case in ("restarted", "truncated"))
 
 
 def test_ensemble_csv_requires_output_path(capsys):
