@@ -79,6 +79,10 @@ def _params_json(p: ModelParams) -> dict:
 
 def _add_model_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, required=True, help="population size")
+    _add_rate_args(sp)
+
+
+def _add_rate_args(sp: argparse.ArgumentParser) -> None:
     grp = sp.add_mutually_exclusive_group(required=True)
     grp.add_argument("--lambda", dest="lam", type=float, help="infection rate")
     grp.add_argument("--r0", type=float, help="basic reproduction number (implies lambda = r0*gamma)")
@@ -90,9 +94,10 @@ def _add_output_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--output", default="-", help="output path ('-' for stdout)")
 
 
-def _params_from_args(args) -> ModelParams:
+def _params_from_args(args, n: int | None = None) -> ModelParams:
+    """Model of the rate flags, at population --n unless `n` is given."""
     lam = args.lam if args.lam is not None else args.r0 * args.gamma
-    return ModelParams(n=args.n, lam=lam, gamma=args.gamma)
+    return ModelParams(n=args.n if n is None else n, lam=lam, gamma=args.gamma)
 
 
 def _cmd_stationary(args) -> int:
@@ -197,24 +202,22 @@ def _cmd_compare(args) -> int:
     grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
     if not grid:
         raise ValueError("empty n-grid")
-    gamma = args.gamma
-    lam = args.lam if args.lam is not None else args.r0 * gamma
     rows = []
     for n in grid:
-        p = ModelParams(n=n, lam=lam, gamma=gamma)
+        p = _params_from_args(args, n)
         q1_qsd = float(quasi_stationary_distribution(p).qsd[0])
-        rows.append(("qsd", n, p.r0, q1_qsd, -math.log(gamma * q1_qsd)))
+        rows.append(("qsd", n, p.r0, q1_qsd, -math.log(p.gamma * q1_qsd)))
         q1_clt = q1_normal_approx(p)
         rows.append(("clt", n, p.r0, math.exp(q1_clt.log),
-                     -math.log(gamma) - q1_clt.log))
+                     -math.log(p.gamma) - q1_clt.log))
     if args.format == "csv":
         _write_csv(args.output, ["method", "n", "r0", "q1", "log_ET"], rows)
     else:
         _write_json(args.output, {
             "schema_version": SCHEMA_VERSION,
             "command": "compare",
-            "gamma": gamma,
-            "lambda": lam,
+            "gamma": p.gamma,
+            "lambda": p.lam,
             "rows": [
                 {"method": m, "n": n, "r0": r0, "q1": q1, "log_ET": log_et}
                 for (m, n, r0, q1, log_et) in rows
@@ -349,10 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare", help="qsd vs clt over an n-grid")
     sp.add_argument("--n-grid", required=True, help="comma-separated n values")
-    grp = sp.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--lambda", dest="lam", type=float)
-    grp.add_argument("--r0", type=float)
-    sp.add_argument("--gamma", type=float, default=1.0)
+    _add_rate_args(sp)
     _add_output_args(sp)
     sp.set_defaults(fn=_cmd_compare)
 

@@ -18,9 +18,9 @@ a recording branch were bit-identical but 1.10-1.22x slower on the
 ensemble (n=1000, R0=5) and 1.10-1.36x slower on extinction times
 (n=20), measured on a 2-core Intel Xeon with Python 3.11 and numpy 2.4.
 
-Determinism contract: replicate r of a run seeded with SeedSpec(root, s)
+Determinism contract: replicate r of a run seeded with SeedSpec(root)
 draws all of its randomness from a Philox4x64 generator keyed with
-key = [root, s + r].  Within a stream the draw order is fixed: one scalar
+key = [root, r].  Within a stream the draw order is fixed: one scalar
 uniform for the initial state when it is sampled from a distribution,
 then alternating blocks of 1024 standard exponentials and 1024 uniforms,
 one (exponential, uniform) pair consumed per attempted event.  Replicates
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sisq.chain import ModelParams
+from sisq.chain import ModelParams, birth_rate, death_rate
 from sisq.stationary import check_probability_vector, log_stationary_weights
 
 __all__ = [
@@ -72,30 +72,24 @@ class ZeroSurvivorsError(RuntimeError):
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Deterministic seeding: Philox4x64 keyed with [root_seed, stream_index].
-
-    Distinct stream indices give statistically independent streams;
-    replicate r of an operation offsets the stream index by r.
+    """Deterministic seeding: replicate r draws from Philox4x64 keyed with
+    [root_seed, r], so distinct replicates get statistically independent
+    streams.
 
     Attributes:
         root_seed: 64-bit integer identifying the experiment.
-        stream_index: base stream offset, >= 0.
     """
 
     root_seed: int
-    stream_index: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= int(self.root_seed) < 2**64:
             raise ValueError(f"root_seed must be a 64-bit integer, got {self.root_seed!r}")
-        if int(self.stream_index) < 0:
-            raise ValueError(f"stream_index must be >= 0, got {self.stream_index!r}")
         object.__setattr__(self, "root_seed", int(self.root_seed))
-        object.__setattr__(self, "stream_index", int(self.stream_index))
 
     def generator(self, offset: int = 0) -> np.random.Generator:
         """Generator for replicate `offset` of this seed."""
-        key = [self.root_seed, self.stream_index + offset]
+        key = [self.root_seed, offset]
         return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -149,10 +143,11 @@ class Trajectory:
 
 def _rates(p: ModelParams) -> tuple[list, list]:
     """Per-state birth rates and total event rates, states 0..n."""
-    n = p.n
-    births = [p.lam * i * (n - i) / n for i in range(n + 1)]
-    totals = [b + p.gamma * i for i, b in enumerate(births)]
-    return births, totals
+    # The chain's scalar rates, not build_transient_generator: its array
+    # arithmetic maps ~0.13 MB of numpy code into a sampler process that
+    # otherwise never runs it (x86-64 Linux, numpy 2.4).
+    births = [birth_rate(i, p) for i in range(p.n + 1)]
+    return births, [b + death_rate(i, p) for i, b in enumerate(births)]
 
 
 def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
@@ -160,7 +155,6 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
     births, totals = _rates(p)
     times = [0.0]
     states = [y0]
-    flags = [False]
     state_time = [0.0] * (p.n + 1)
     state = y0
     t = 0.0
@@ -177,7 +171,6 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
                 break
             n_restarts += 1
             state = 1
-            restart = True
         else:
             birth = births[state]
             total = totals[state]
@@ -194,19 +187,20 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
             t += wait
             state = state + 1 if unis[k] * total < birth else state - 1
             k += 1
-            restart = False
         n_events += 1
         if len(times) < cap:
             times.append(t)
             states.append(state)
-            flags.append(restart)
         else:
             truncated = True
+    states_arr = np.asarray(states)
     return Trajectory(
         n=p.n,
         times=np.asarray(times),
-        states=np.asarray(states),
-        restart_flags=np.asarray(flags),
+        states=states_arr,
+        # A restart row is exactly a row whose previous row is at state 0:
+        # plain runs stop there, and a truncated log is a prefix.
+        restart_flags=np.concatenate(([False], states_arr[:-1] == 0)),
         t_end=t,
         state_time=np.asarray(state_time),
         n_events=n_events,
@@ -218,8 +212,8 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
 
 def _check_horizon(t_max: float) -> float:
     t_max = float(t_max)
-    if not t_max > 0:
-        raise ValueError(f"t_max must be > 0, got {t_max!r}")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {t_max!r}")
     return t_max
 
 
@@ -229,8 +223,8 @@ def simulate(p: ModelParams, y0: int, t_max: float, seed: SeedSpec) -> Trajector
     Args:
         p: model parameters.
         y0: initial state in 1..n.
-        t_max: simulation horizon, > 0.
-        seed: root seed and stream choice; this call uses the stream as given.
+        t_max: simulation horizon, finite and > 0.
+        seed: root seed; this call uses replicate offset 0.
     """
     if not 1 <= y0 <= p.n:
         raise ValueError(f"initial state must lie in 1..{p.n}, got {y0!r}")

@@ -50,7 +50,6 @@ __all__ = [
     "transition_matrix",
     "transition_probability",
     "conditioned_distribution",
-    "conditioned_probability",
     "FULL_DECOMPOSITION_SIZE_CAP",
 ]
 
@@ -434,9 +433,3 @@ def conditioned_distribution(p: ModelParams, t: float, i: int) -> np.ndarray:
         raise ValueError(f"survival probability underflowed at t={t!r}")
     return row / total
 
-
-def conditioned_probability(p: ModelParams, t: float, i: int, j: int) -> float:
-    """P(Y(t) = j | survival to t, Y(0) = i), states 1-based."""
-    if not 1 <= j <= p.n:
-        raise ValueError(f"states must lie in 1..{p.n}, got j={j}")
-    return float(conditioned_distribution(p, t, i)[j - 1])

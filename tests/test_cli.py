@@ -10,7 +10,12 @@ from pathlib import Path
 import pytest
 
 import sisq
+import sisq.chain
+import sisq.cli
+import sisq.clt
 import sisq.sim
+import sisq.spectral
+import sisq.stationary
 from sisq.chain import ModelParams
 from sisq.cli import main
 from sisq.clt import expected_time_clt, q1_normal_approx
@@ -225,6 +230,19 @@ def test_simulate_trajectory_modes_need_horizon(capsys):
     assert "t-max" in err
 
 
+def test_simulate_refuses_infinite_horizon(capsys, tmp_path):
+    # a restarted run never stays absorbed, so t-max inf would never stop
+    out = tmp_path / "never.csv"
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "simulate", "--mode", "restarted", "--n", "2",
+                           "--r0", "2", "--t-max", "inf", "--seed", "1",
+                           "--output", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error:") and "horizon must be finite" in err
+    assert not out.exists()
+
+
 def test_simulate_restarted_flags_restarts(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "2", "--lambda", "1",
                            "--mode", "restarted", "--t-max", "50", "--seed", "4")
@@ -375,6 +393,23 @@ def test_ensemble_json_single_document(capsys):
     assert doc["schema_version"] == 1
     assert sum(doc["count"]) == doc["survivors"]
     assert doc["mu_n"] == pytest.approx(50 * (1 - 1 / 3), rel=1e-12)
+
+
+def test_readme_library_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    mean, var = map(float, capsys.readouterr().out.split())
+    assert 1.0 <= mean <= 100.0 and var > 0.0
+
+
+def test_each_public_name_is_listed_once():
+    mods = (sisq.chain, sisq.stationary, sisq.spectral, sisq.clt, sisq.sim, sisq.cli)
+    names = [name for mod in mods for name in mod.__all__]
+    assert len(names) == len(set(names))
+    assert all(hasattr(mod, name) for mod in mods for name in mod.__all__)
+    assert not hasattr(sisq, "__all__")
 
 
 def test_cli_entrypoint_subprocess():

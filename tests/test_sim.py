@@ -26,17 +26,20 @@ def test_seed_spec_validation():
         SeedSpec(-1)
     with pytest.raises(ValueError):
         SeedSpec(2**64)
-    with pytest.raises(ValueError):
-        SeedSpec(3, -1)
-    assert SeedSpec(3).stream_index == 0
+    assert SeedSpec(2**64 - 1).root_seed == 2**64 - 1
 
 
 def test_seed_spec_generator_is_deterministic():
-    a = SeedSpec(99, 4).generator(2).random(8)
-    b = SeedSpec(99, 4).generator(2).random(8)
-    c = SeedSpec(99, 4).generator(3).random(8)
+    a = SeedSpec(99).generator(2).random(8)
+    b = SeedSpec(99).generator(2).random(8)
+    c = SeedSpec(99).generator(3).random(8)
+    d = SeedSpec(98).generator(2).random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
+    # replicate r draws from Philox keyed [root_seed, r]
+    key = np.random.Generator(np.random.Philox(key=[99, 2])).random(8)
+    assert np.array_equal(a, key)
 
 
 def test_simulate_validation():
@@ -49,6 +52,19 @@ def test_simulate_validation():
         simulate(p, 1, 0.0, SeedSpec(1))
     with pytest.raises(ValueError):
         simulate_restarted(p, -2.0, SeedSpec(1))
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_non_finite_horizon_is_refused(horizon):
+    # restarts keep the chain alive, so without a finite horizon a
+    # restarted run would never stop
+    p = ModelParams(2, 2.0)
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        simulate(p, 1, horizon, SeedSpec(1))
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        simulate_restarted(p, horizon, SeedSpec(1))
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        conditioned_ensemble(p, 5, horizon, SeedSpec(1))
 
 
 def test_trajectory_structure():
@@ -86,9 +102,9 @@ def test_single_host_has_single_event():
 
 def test_simulate_is_deterministic():
     p = ModelParams(40, 2.0, 1.0)
-    a = simulate(p, 3, 20.0, SeedSpec(123, 7))
-    b = simulate(p, 3, 20.0, SeedSpec(123, 7))
-    c = simulate(p, 3, 20.0, SeedSpec(123, 8))
+    a = simulate(p, 3, 20.0, SeedSpec(123))
+    b = simulate(p, 3, 20.0, SeedSpec(123))
+    c = simulate(p, 3, 20.0, SeedSpec(124))
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
     assert not np.array_equal(a.times, c.times)
@@ -151,6 +167,20 @@ def test_event_log_cap_keeps_statistics_exact(monkeypatch):
     assert tr.t_end == 200.0
     assert tr.state_time.sum() == pytest.approx(200.0, rel=1e-10)
     assert empirical_occupancy(tr).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("cap", range(1, 9))
+def test_truncated_log_is_a_prefix_of_the_full_log(monkeypatch, cap):
+    # caps 1..8 cut the log at absorption rows and at restart rows alike
+    p = ModelParams(2, 1.0, 1.0)
+    full = simulate_restarted(p, 50.0, SeedSpec(6))
+    assert full.states[:9].tolist().count(0) >= 2
+    monkeypatch.setattr(sim_module, "MAX_LOGGED_EVENTS", cap)
+    cut = simulate_restarted(p, 50.0, SeedSpec(6))
+    assert cut.log_truncated and cut.times.size == cap + 1
+    for name in ("times", "states", "restart_flags"):
+        assert np.array_equal(getattr(cut, name), getattr(full, name)[:cap + 1])
+    assert (cut.n_events, cut.n_restarts) == (full.n_events, full.n_restarts)
 
 
 def test_ensemble_validation():

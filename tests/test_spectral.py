@@ -21,7 +21,6 @@ from sisq.spectral import (
     ConvergenceError,
     SizeCapError,
     conditioned_distribution,
-    conditioned_probability,
     expected_time_qsd,
     full_decomposition,
     quasi_stationary_distribution,
@@ -313,8 +312,9 @@ def test_conditioned_convergence_monotone():
 def test_conditioned_probability_at_zero():
     # reconstructed from the spectral sum, so the point mass at t=0 is
     # exact only to rounding
-    assert conditioned_probability(ModelParams(5, 1.0), 0.0, 3, 3) == pytest.approx(1.0, abs=1e-12)
-    assert conditioned_probability(ModelParams(5, 1.0), 0.0, 3, 2) == pytest.approx(0.0, abs=1e-12)
+    row = conditioned_distribution(ModelParams(5, 1.0), 0.0, 3)
+    assert row[3 - 1] == pytest.approx(1.0, abs=1e-12)
+    assert row[2 - 1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_underflow_guard_names_the_regime():
