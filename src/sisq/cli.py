@@ -35,11 +35,7 @@ from sisq.sim import (
     simulate_restarted,
 )
 from sisq.spectral import expected_time_qsd, quasi_stationary_distribution
-from sisq.stationary import (
-    exact_expected_extinction_time,
-    log_expected_extinction_time,
-    stationary_distribution,
-)
+from sisq.stationary import log_expected_extinction_time, stationary_distribution
 
 SCHEMA_VERSION = 1
 
@@ -146,20 +142,11 @@ def _extinction_record(p: ModelParams, method: str, args) -> dict:
            "se": None, "replicates": None}
     if method == "exact":
         rec["log_value"] = log_expected_extinction_time(p)
-        try:
-            rec["value"] = exact_expected_extinction_time(p)
-        except OverflowError:
-            pass
     elif method == "qsd":
         rec["value"] = expected_time_qsd(p)
         rec["log_value"] = math.log(rec["value"])
     elif method == "clt":
-        lv = expected_time_clt(p)
-        rec["log_value"] = lv.log
-        try:
-            rec["value"] = lv.value
-        except OverflowError:
-            pass
+        rec["log_value"] = expected_time_clt(p).log
     elif method == "simulate":
         if args.seed is None:
             raise ValueError("--method simulate requires --seed")
@@ -169,10 +156,16 @@ def _extinction_record(p: ModelParams, method: str, args) -> dict:
         )
         rec["value"] = res.mean
         rec["log_value"] = math.log(res.mean)
-        rec["se"] = res.standard_error
+        se = res.standard_error
+        rec["se"] = None if math.isnan(se) else se
         rec["replicates"] = res.replicates
     else:
         raise ValueError(f"unknown method {method!r}")
+    if rec["value"] is None:
+        try:
+            rec["value"] = math.exp(rec["log_value"])
+        except OverflowError:
+            pass
     return rec
 
 
@@ -207,9 +200,8 @@ def _cmd_compare(args) -> int:
         p = _params_from_args(args, n)
         q1_qsd = float(quasi_stationary_distribution(p).qsd[0])
         rows.append(("qsd", n, p.r0, q1_qsd, -math.log(p.gamma * q1_qsd)))
-        q1_clt = q1_normal_approx(p)
-        rows.append(("clt", n, p.r0, math.exp(q1_clt.log),
-                     -math.log(p.gamma) - q1_clt.log))
+        rows.append(("clt", n, p.r0, math.exp(q1_normal_approx(p).log),
+                     expected_time_clt(p).log))
     if args.format == "csv":
         _write_csv(args.output, ["method", "n", "r0", "q1", "log_ET"], rows)
     else:
@@ -263,26 +255,24 @@ def _trajectory_output(args, tr) -> None:
 def _cmd_simulate(args) -> int:
     p = _params_from_args(args)
     seed = SeedSpec(args.seed)
-    if args.mode in ("plain", "restarted"):
-        if args.t_max is None:
-            raise ValueError(f"--mode {args.mode} requires --t-max")
-        if args.mode == "plain":
-            tr = simulate(p, args.y0, args.t_max, seed)
-        else:
-            tr = simulate_restarted(p, args.t_max, seed)
-        _trajectory_output(args, tr)
+    if args.mode == "plain":
+        _trajectory_output(args, simulate(p, args.y0, args.t_max, seed))
+        return 0
+    if args.mode == "restarted":
+        if args.y0 != 1:
+            raise ValueError(
+                f"--mode restarted always starts at state 1, got --y0 {args.y0}"
+            )
+        _trajectory_output(args, simulate_restarted(p, args.t_max, seed))
         return 0
 
-    t_snap = args.t_snap if args.t_snap is not None else args.t_max
-    if t_snap is None:
-        raise ValueError("--mode ensemble requires --t-snap (or --t-max)")
     res = conditioned_ensemble(
-        p, args.replicates, t_snap, seed, y0=args.y0, workers=args.workers
+        p, args.replicates, args.t_max, seed, y0=args.y0, workers=args.workers
     )
     if res.survivors == 0:
         raise ValueError(
-            f"no replicate survived to t={t_snap}; "
-            "nothing to report (try a shorter t-snap or more replicates)"
+            f"no replicate survived to t={args.t_max}; "
+            "nothing to report (try a shorter --t-max or more replicates)"
         )
     counts = res.histogram()
     occupied = np.nonzero(counts)[0]
@@ -347,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--seed", type=int, help="root seed (simulate method)")
     sp.add_argument("--replicates", type=int, default=10000)
-    sp.add_argument("--workers", type=int, default=None)
+    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(fn=_cmd_extinction_time)
 
     sp = sub.add_parser("compare", help="qsd vs clt over an n-grid")
@@ -363,11 +353,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     default="plain")
     sp.add_argument("--seed", type=int, required=True, help="root seed")
     sp.add_argument("--y0", type=int, default=1, help="initial state (default 1)")
-    sp.add_argument("--t-max", type=float, default=None, help="horizon (trajectory modes)")
-    sp.add_argument("--t-snap", type=float, default=None,
-                    help="snapshot time (ensemble; falls back to --t-max)")
+    sp.add_argument("--t-max", type=float, required=True,
+                    help="horizon (trajectory modes) or snapshot time (ensemble)")
     sp.add_argument("--replicates", type=int, default=10000)
-    sp.add_argument("--workers", type=int, default=None,
+    sp.add_argument("--workers", type=int, default=1,
                     help="replicate-parallel process count (results unchanged)")
     sp.set_defaults(fn=_cmd_simulate)
 

@@ -173,13 +173,15 @@ def integrate_variance_ode(
 
     Returns:
         (times, sigma2) arrays of length steps + 1.
+
+    Raises:
+        ValueError: R0 <= 1, t_max <= 0 or steps < 10.
     """
-    _require_supercritical(p)
+    summ = endemic_normal(p)
     if not t_max > 0:
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
     if steps < 10:
         raise ValueError(f"steps must be >= 10, got {steps!r}")
-    summ = endemic_normal(p)
     a = 2.0 * summ.dF_hat
     b = summ.g_hat
 
@@ -215,8 +217,11 @@ def q1_normal_approx(p: ModelParams) -> LogValue:
     tends to 1 at fixed R0 (README, "Testing").
 
     Raises:
-        ValueError: R0 <= 1.
+        ValueError: n = 1, where a normal law over a single state is
+            meaningless, or R0 <= 1.
     """
+    if p.n == 1:
+        raise ValueError("n = 1 leaves no room for a normal approximation")
     summ = endemic_normal(p)
     sigma = math.sqrt(summ.sigma2_n)
     z1 = (1.0 - summ.mu_n) / sigma
@@ -240,10 +245,8 @@ def expected_time_clt(p: ModelParams) -> LogValue:
     extinction time by a factor that grows exponentially in n.
 
     Raises:
-        ValueError: R0 <= 1, or n = 1 where a normal law over a single
-            state is meaningless.
+        ValueError: as q1_normal_approx, whose refusals it inherits: n = 1
+            or R0 <= 1.
     """
-    if p.n == 1:
-        raise ValueError("n = 1 leaves no room for a normal approximation")
     q1 = q1_normal_approx(p)
     return LogValue(log=-math.log(p.gamma) - q1.log)

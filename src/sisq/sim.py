@@ -306,14 +306,14 @@ def _chunk(args: tuple) -> list:
 
 
 def _fan_out(p: ModelParams, start, t_stop: float, seed: SeedSpec,
-             replicates: int, workers: int | None) -> list:
+             replicates: int, workers: int) -> list:
     """_chunk over all replicates, in replicate order.
 
-    Runs on min(workers, CPU count, replicates) processes; None means one.
+    Runs on min(workers, CPU count, replicates) processes; 1 runs serially.
     """
-    if workers is not None and workers < 1:
+    if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    procs = min(workers or 1, os.cpu_count() or 1, replicates)
+    procs = min(workers, os.cpu_count() or 1, replicates)
     if procs == 1:
         return _chunk((p, start, t_stop, seed, 0, replicates))
     edges = np.linspace(0, replicates, procs + 1).astype(int).tolist()
@@ -379,7 +379,7 @@ def conditioned_ensemble(
     t_snap: float,
     seed: SeedSpec,
     y0: int = 1,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> EnsembleResult:
     """Snapshot sample of the process conditioned on survival.
 
@@ -390,7 +390,7 @@ def conditioned_ensemble(
 
     Args:
         workers: process count for replicate-level parallelism, >= 1 and
-            capped at the CPU count; None or 1 runs serially.  Results are
+            capped at the CPU count; 1 runs serially.  Results are
             identical either way.
     """
     if replicates < 1:
@@ -438,7 +438,7 @@ def extinction_time_samples(
     replicates: int,
     seed: SeedSpec,
     init: np.ndarray,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> ExtinctionSamples:
     """Absorption times from an initial state drawn per replicate.
 
@@ -455,7 +455,7 @@ def extinction_time_samples(
     Args:
         init: distribution over states 1..n (entry k is state k + 1).
         workers: process count for replicate-level parallelism, >= 1 and
-            capped at the CPU count; None or 1 runs serially.  Results are
+            capped at the CPU count; 1 runs serially.  Results are
             identical either way.
     """
     if replicates < 1:

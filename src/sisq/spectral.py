@@ -221,14 +221,16 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
     and the QSD, are bit-identical to the walk's, while its
     log2(gamma / theta*) sweeps shrink to about log2 of that.
 
+    n = 1 needs no case of its own: the sweep takes no step, so S_n = 1,
+    every trial below gamma lies below the rate, and the polish returns
+    theta = gamma and qsd = [1] exactly.
+
     Raises:
         ConvergenceError: the sweep at gamma / 2^k_hi is not below the
             rate, so the lower bound failed; iterations is the sweep count.
     """
     n = p.n
     gamma = p.gamma
-    if n == 1:
-        return gamma, np.ones(1)
     log_s0 = _log_flux_sum_at_zero(p)
     if log_s0 > _MAX_LOG_FLUX_SUM:
         raise OverflowError(
@@ -354,13 +356,6 @@ def full_decomposition(s: SymmetrizedGenerator) -> SpectralResult:
             "detailed-balance weight span exceeds double precision; the dense "
             "spectral route is unavailable at these parameters"
         )
-    if s.n == 1:
-        return SpectralResult(
-            lambda1=float(s.diag[0]),
-            qsd=np.ones(1),
-            eigenvalues=s.diag.copy(),
-            basis=np.ones((1, 1)),
-        )
     evals, evecs = eigh_tridiagonal(s.diag, s.offdiag)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
@@ -368,6 +363,9 @@ def full_decomposition(s: SymmetrizedGenerator) -> SpectralResult:
     u1 = evecs[:, 0]
     if u1[np.argmax(np.abs(u1))] < 0.0:
         u1 = -u1
+        # Not only a defensive copy: it also turns LAPACK's F-ordered
+        # output into C order, and the propagator's BLAS products round
+        # differently on the two layouts.
         evecs = evecs.copy()
         evecs[:, 0] = u1
     q = u1 * np.exp(0.5 * s.log_weights)

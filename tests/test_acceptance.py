@@ -213,7 +213,7 @@ def test_criterion_11_byte_identical_reruns(tmp_path, capsys):
     workers = ([], [], ["--workers", "3"])
     for path, extra in zip(paths, workers):
         run("simulate", "--n", "100", "--r0", "5", "--mode", "ensemble",
-            "--t-snap", "4", "--replicates", "500", "--seed", "7",
+            "--t-max", "4", "--replicates", "500", "--seed", "7",
             "--output", str(path), *extra)
     ensembles_equal = (paths[0].read_bytes() == paths[1].read_bytes()
                        == paths[2].read_bytes())

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -152,6 +153,20 @@ def test_extinction_time_simulate_method(capsys):
     assert rows[0][8] == "2000"
 
 
+def test_extinction_time_single_replicate_has_no_se(capsys):
+    args = ("extinction-time", "--n", "5", "--r0", "2", "--method", "simulate",
+            "--seed", "1", "--replicates", "1")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0][7] == "" and rows[0][8] == "1"
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    assert "NaN" not in out
+    rec = json.loads(out)["results"][0]
+    assert rec["se"] is None and rec["replicates"] == 1
+
+
 def test_extinction_time_simulate_requires_seed(capsys):
     code, _, err = run_cli(capsys, "extinction-time", "--n", "2", "--lambda", "1",
                            "--method", "simulate")
@@ -191,6 +206,14 @@ def test_compare_single_point_degenerates_to_extinction_time(capsys):
         expected_time_clt(ModelParams(20, 2.0, 1.0)).log, rel=1e-12)
 
 
+def test_compare_rejects_single_host(capsys):
+    # the clt row at n = 1 would be a "probability" above 1
+    code, out, err = run_cli(capsys, "compare", "--n-grid", "1,2", "--r0", "2")
+    assert code == 1
+    assert err.startswith("error:") and "n = 1" in err
+    assert out == ""
+
+
 def test_compare_rejects_subcritical(capsys):
     code, _, err = run_cli(capsys, "compare", "--n-grid", "10,20", "--r0", "1")
     assert code == 1
@@ -224,10 +247,22 @@ def test_simulate_plain_single_host(capsys):
 
 
 def test_simulate_trajectory_modes_need_horizon(capsys):
-    code, _, err = run_cli(capsys, "simulate", "--n", "5", "--lambda", "1",
-                           "--mode", "restarted", "--seed", "4")
+    for mode in ("plain", "restarted", "ensemble"):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "5", "--lambda", "1", "--mode", mode,
+                  "--seed", "4"])
+        assert exc.value.code == 2
+        assert "--t-max" in capsys.readouterr().err
+
+
+def test_simulate_restarted_refuses_other_start(capsys):
+    # the restarted chain always starts at state 1
+    code, out, err = run_cli(capsys, "simulate", "--n", "5", "--lambda", "1",
+                             "--mode", "restarted", "--y0", "3", "--t-max", "5",
+                             "--seed", "4")
     assert code == 1
-    assert "t-max" in err
+    assert err.startswith("error:") and "--y0" in err
+    assert out == ""
 
 
 def test_simulate_refuses_infinite_horizon(capsys, tmp_path):
@@ -322,7 +357,7 @@ def test_trajectory_output_bytes_are_pinned(case, fmt, tmp_path, capsys, monkeyp
 
 def test_ensemble_csv_requires_output_path(capsys):
     code, _, err = run_cli(capsys, "simulate", "--n", "20", "--r0", "5",
-                           "--mode", "ensemble", "--t-snap", "2",
+                           "--mode", "ensemble", "--t-max", "2",
                            "--replicates", "50", "--seed", "1")
     assert code == 1
     assert "--output" in err
@@ -331,7 +366,7 @@ def test_ensemble_csv_requires_output_path(capsys):
 def test_ensemble_histogram_and_sidecar(tmp_path, capsys):
     target = tmp_path / "hist.csv"
     code, _, _ = run_cli(capsys, "simulate", "--n", "100", "--r0", "5",
-                         "--mode", "ensemble", "--t-snap", "4",
+                         "--mode", "ensemble", "--t-max", "4",
                          "--replicates", "300", "--seed", "13",
                          "--output", str(target))
     assert code == 0
@@ -349,22 +384,10 @@ def test_ensemble_histogram_and_sidecar(tmp_path, capsys):
     assert 0 < sidecar["survival_fraction"] <= 1
 
 
-def test_ensemble_snapshot_falls_back_to_t_max(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    run_cli(capsys, "simulate", "--n", "30", "--r0", "4", "--mode", "ensemble",
-            "--t-snap", "3", "--replicates", "100", "--seed", "2",
-            "--output", str(a))
-    run_cli(capsys, "simulate", "--n", "30", "--r0", "4", "--mode", "ensemble",
-            "--t-max", "3", "--replicates", "100", "--seed", "2",
-            "--output", str(b))
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_ensemble_subcritical_sidecar_has_no_normal_law(tmp_path, capsys):
     target = tmp_path / "sub.csv"
     code, _, _ = run_cli(capsys, "simulate", "--n", "30", "--lambda", "0.5",
-                         "--mode", "ensemble", "--t-snap", "1",
+                         "--mode", "ensemble", "--t-max", "1",
                          "--replicates", "200", "--seed", "3",
                          "--output", str(target))
     assert code == 0
@@ -376,7 +399,7 @@ def test_ensemble_subcritical_sidecar_has_no_normal_law(tmp_path, capsys):
 def test_ensemble_zero_survivors_fails_loudly(tmp_path, capsys):
     target = tmp_path / "none.csv"
     code, _, err = run_cli(capsys, "simulate", "--n", "5", "--lambda", "0.2",
-                           "--mode", "ensemble", "--t-snap", "80",
+                           "--mode", "ensemble", "--t-max", "80",
                            "--replicates", "30", "--seed", "5",
                            "--output", str(target))
     assert code == 1
@@ -386,13 +409,24 @@ def test_ensemble_zero_survivors_fails_loudly(tmp_path, capsys):
 
 def test_ensemble_json_single_document(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "50", "--r0", "3",
-                           "--mode", "ensemble", "--t-snap", "2",
+                           "--mode", "ensemble", "--t-max", "2",
                            "--replicates", "200", "--seed", "8",
                            "--format", "json")
     doc = json.loads(out)
     assert doc["schema_version"] == 1
     assert sum(doc["count"]) == doc["survivors"]
     assert doc["mu_n"] == pytest.approx(50 * (1 - 1 / 3), rel=1e-12)
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("sisq ")]
+    assert lines
+    parser = sisq.cli._build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_readme_library_quickstart_runs(capsys):

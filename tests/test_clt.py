@@ -173,6 +173,11 @@ def test_expected_time_clt_frozen_value():
     assert math.exp(lv.log) == pytest.approx(ET_EXPECTED, rel=1e-12)
 
 
+def test_q1_normal_approx_rejects_single_state():
+    with pytest.raises(ValueError, match="n = 1"):
+        q1_normal_approx(ModelParams(1, 2.0))
+
+
 def test_expected_time_clt_rejects_single_state():
     with pytest.raises(ValueError):
         expected_time_clt(ModelParams(1, 2.0, 1.0))
