@@ -85,6 +85,17 @@ def _add_rate_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--gamma", type=float, default=1.0, help="recovery rate (default 1)")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --replicates and --workers: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_output_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", default="-", help="output path ('-' for stdout)")
@@ -336,8 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of exact,qsd,clt,simulate (default exact)",
     )
     sp.add_argument("--seed", type=int, help="root seed (simulate method)")
-    sp.add_argument("--replicates", type=int, default=10000)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--replicates", type=_positive_int, default=10000)
+    sp.add_argument("--workers", type=_positive_int, default=1)
     sp.set_defaults(fn=_cmd_extinction_time)
 
     sp = sub.add_parser("compare", help="qsd vs clt over an n-grid")
@@ -355,8 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y0", type=int, default=1, help="initial state (default 1)")
     sp.add_argument("--t-max", type=float, required=True,
                     help="horizon (trajectory modes) or snapshot time (ensemble)")
-    sp.add_argument("--replicates", type=int, default=10000)
-    sp.add_argument("--workers", type=int, default=1,
+    sp.add_argument("--replicates", type=_positive_int, default=10000)
+    sp.add_argument("--workers", type=_positive_int, default=1,
                     help="replicate-parallel process count (results unchanged)")
     sp.set_defaults(fn=_cmd_simulate)
 

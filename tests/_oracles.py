@@ -4,10 +4,12 @@ Everything here is deliberately written by a different route than the
 library code it checks: dense matrices instead of banded storage, a
 Poisson-series propagator instead of the spectral one, raw ratio
 recurrences instead of log-gamma closed forms, LAPACK's stebz/stein
-eigenpair instead of the flux recurrence.  The one exception is
-flux_bisection_reference, a frozen copy of the flux solver as it stood
-before its halving phase became a binary search; it pins the library's
-output bit for bit rather than checking it by another route.
+eigenpair instead of the flux recurrence.  The exceptions are frozen
+copies that pin the library's output bit for bit rather than check it by
+another route: flux_bisection_reference, the flux solver as it stood
+before its halving phase became a binary search, and jump_reference and
+run_reference, the Gillespie loops as they stood when each event indexed
+into a block of draws turned into Python lists.
 """
 
 import math
@@ -15,6 +17,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+import sisq.sim as sim
 from sisq.chain import ModelParams, TransientGenerator, build_transient_generator
 from sisq.spectral import ConvergenceError, SymmetrizedGenerator
 
@@ -205,3 +208,92 @@ def flux_bisection_reference(g: TransientGenerator, gamma: float) -> tuple[float
         )
     theta = gamma / s_lo
     return theta, v_lo / s_lo
+
+
+def run_reference(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
+                  restarted: bool) -> sim.Trajectory:
+    """The recording loop `sim._run` as it stood with an index into each block.
+
+    Kept verbatim apart from reading the block size and the log cap from
+    `sisq.sim` at call time, so a test that patches either patches both
+    loops alike.
+    """
+    births, totals = sim._rates(p)
+    times = [0.0]
+    states = [y0]
+    state_time = [0.0] * (p.n + 1)
+    state = y0
+    t = 0.0
+    n_events = 0
+    n_restarts = 0
+    truncated = False
+    cap = sim.MAX_LOGGED_EVENTS + 1
+    exps: list = []
+    unis: list = []
+    k = sim._BLOCK
+    while True:
+        if state == 0:
+            if not restarted:
+                break
+            n_restarts += 1
+            state = 1
+        else:
+            birth = births[state]
+            total = totals[state]
+            if k == sim._BLOCK:
+                exps = gen.standard_exponential(sim._BLOCK).tolist()
+                unis = gen.random(sim._BLOCK).tolist()
+                k = 0
+            wait = exps[k] / total
+            if t + wait >= t_max:
+                state_time[state] += t_max - t
+                t = t_max
+                break
+            state_time[state] += wait
+            t += wait
+            state = state + 1 if unis[k] * total < birth else state - 1
+            k += 1
+        n_events += 1
+        if len(times) < cap:
+            times.append(t)
+            states.append(state)
+        else:
+            truncated = True
+    states_arr = np.asarray(states)
+    return sim.Trajectory(
+        n=p.n,
+        times=np.asarray(times),
+        states=states_arr,
+        restart_flags=np.concatenate(([False], states_arr[:-1] == 0)),
+        t_end=t,
+        state_time=np.asarray(state_time),
+        n_events=n_events,
+        n_restarts=n_restarts,
+        final_state=state,
+        log_truncated=truncated,
+    )
+
+
+def jump_reference(births: list, totals: list, state: int, t_stop: float,
+                   gen: np.random.Generator) -> tuple[int, float]:
+    """The lean sampler `sim._jump` as it stood with an index into each block.
+
+    Verbatim apart from reading the block size from `sisq.sim` at call time.
+    """
+    t = 0.0
+    exps: list = []
+    unis: list = []
+    k = sim._BLOCK
+    while state != 0:
+        birth = births[state]
+        total = totals[state]
+        if k == sim._BLOCK:
+            exps = gen.standard_exponential(sim._BLOCK).tolist()
+            unis = gen.random(sim._BLOCK).tolist()
+            k = 0
+        t += exps[k] / total
+        if t >= t_stop:
+            break
+        state = state + 1 if unis[k] * total < birth else state - 1
+        k += 1
+    return state, t

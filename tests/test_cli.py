@@ -167,6 +167,41 @@ def test_extinction_time_single_replicate_has_no_se(capsys):
     assert rec["se"] is None and rec["replicates"] == 1
 
 
+@pytest.mark.parametrize("args, flag", [
+    (("simulate", "--mode", "plain", "--n", "5", "--r0", "2", "--t-max", "1",
+      "--seed", "1", "--replicates", "0", "--workers", "-3"), "--replicates"),
+    (("extinction-time", "--n", "5", "--r0", "2", "--method", "exact",
+      "--replicates", "-5", "--workers", "0", "--seed", "3"), "--replicates"),
+])
+def test_out_of_range_counts_are_refused(capsys, args, flag):
+    # refused even though no sampler runs to read them
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--replicates", "--workers"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ("simulate", "--mode", "plain"),
+    ("simulate", "--mode", "restarted"),
+    ("simulate", "--mode", "ensemble"),
+    ("extinction-time", "--method", "exact"),
+    ("extinction-time", "--method", "qsd"),
+    ("extinction-time", "--method", "clt"),
+    ("extinction-time", "--method", "simulate"),
+])
+def test_count_flags_refuse_values_below_one(capsys, command, value, flag):
+    args = [*command, "--n", "5", "--r0", "2", "--seed", "1", flag, value]
+    if command[0] == "simulate":
+        args += ["--t-max", "1", "--format", "json"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+
+
 def test_extinction_time_simulate_requires_seed(capsys):
     code, _, err = run_cli(capsys, "extinction-time", "--n", "2", "--lambda", "1",
                            "--method", "simulate")

@@ -1,7 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from _oracles import jump_reference, run_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import sisq.sim as sim_module
@@ -18,7 +22,7 @@ from sisq.sim import (
     simulate_restarted,
 )
 from sisq.spectral import quasi_stationary_distribution
-from sisq.stationary import stationary_distribution
+from sisq.stationary import log_expected_extinction_time, stationary_distribution
 
 
 def test_seed_spec_validation():
@@ -277,6 +281,21 @@ def test_seeded_output_is_pinned():
     assert (tr.n_events, tr.n_restarts, tr.final_state, tr.t_end) == (18736, 2, 39, 200.0)
 
 
+def test_multi_block_sampler_output_is_pinned():
+    # Literal values recorded from the loops that indexed into each block.
+    # Each ensemble replicate runs about 11,000 events and each extinction
+    # replicate about 1,100, so both cross block boundaries, which the
+    # ~150-event replicates of test_seeded_output_is_pinned never do.
+    ens = conditioned_ensemble(ModelParams(1000, 5), 8, 10.0, SeedSpec(42))
+    assert ens.survivor_states.tolist() == [784, 815, 770, 810, 787, 775, 807]
+    p = ModelParams(20, 2)
+    q = quasi_stationary_distribution(p).qsd
+    times = extinction_time_samples(p, 20, SeedSpec(7), q).times
+    assert times[:5].tolist() == [32.99352415639589, 9.595698990041845,
+                                  30.690560463610854, 120.32460827415618,
+                                  84.41586867548129]
+
+
 def test_workers_are_validated_and_capped(monkeypatch):
     sizes = []
 
@@ -320,3 +339,77 @@ def test_standard_error_degenerate():
     s = extinction_time_samples(ModelParams(1, 1.0), 1, SeedSpec(2), [1.0])
     assert math.isnan(s.standard_error)
     assert s.replicates == 1
+
+
+def _assert_same_trajectory(got: Trajectory, want: Trajectory) -> None:
+    for f in dataclasses.fields(Trajectory):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert (type(a), a) == (type(b), b), f.name
+
+
+def _assert_kernels_match_reference(p: ModelParams, seed: int, mode: str,
+                                    start: int, t_stop: float) -> None:
+    """One case of a kernel against its frozen oracle: same result, same draws."""
+    gen, ref_gen = SeedSpec(seed).generator(), SeedSpec(seed).generator()
+    if mode == "jump":
+        births, totals = sim_module._rates(p)
+        got = sim_module._jump(births, totals, start, t_stop, gen)
+        want = jump_reference(births, totals, start, t_stop, ref_gen)
+        assert (type(got[1]), got) == (type(want[1]), want)
+    else:
+        restarted = mode == "restarted"
+        _assert_same_trajectory(sim_module._run(p, start, t_stop, gen, restarted),
+                                run_reference(p, start, t_stop, ref_gen, restarted))
+    np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+
+def _kernel_grid_cases():
+    for n in (1, 2, 5, 20, 100):
+        for r0 in (0.5, 2.0, 5.0):
+            p = ModelParams(n, r0)
+            # An endless t_stop only where extinction is quick: at n = 100,
+            # R0 = 5 the mean extinction time is about e^80.
+            quick = log_expected_extinction_time(p) < math.log(100.0)
+            for seed in (0, 1, 2):
+                for t_stop in (0.5, 10.0) + ((math.inf,) if quick else ()):
+                    for start in sorted({0, 1, n}):
+                        yield p, seed, "jump", start, t_stop
+                for t_max in (0.5, 10.0):
+                    for y0 in sorted({1, n}):
+                        yield p, seed, "plain", y0, t_max
+                    yield p, seed, "restarted", 1, t_max
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 1024])
+def test_kernels_bit_identical_to_reference(monkeypatch, block):
+    monkeypatch.setattr(sim_module, "_BLOCK", block)
+    for case in _kernel_grid_cases():
+        _assert_kernels_match_reference(*case)
+    # restarted logs cut at absorption rows and at restart rows alike
+    for cap in range(1, 9):
+        monkeypatch.setattr(sim_module, "MAX_LOGGED_EVENTS", cap)
+        for seed in range(3):
+            _assert_kernels_match_reference(ModelParams(2, 1.0), seed, "restarted", 1, 50.0)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    n=st.integers(min_value=1, max_value=150),
+    r0=st.floats(min_value=0.2, max_value=6.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+    mode=st.sampled_from(["jump", "plain", "restarted"]),
+    start=st.floats(min_value=0.0, max_value=1.0),
+    t_stop=st.floats(min_value=1e-3, max_value=20.0),
+    block=st.sampled_from([1, 2, 3, 7, 64, 1024]),
+)
+def test_kernels_match_reference_property(n, r0, seed, mode, start, t_stop, block):
+    y0 = 1 if mode == "restarted" else max(1, round(start * n))
+    saved = sim_module._BLOCK
+    sim_module._BLOCK = block
+    try:
+        _assert_kernels_match_reference(ModelParams(n, r0), seed, mode, y0, t_stop)
+    finally:
+        sim_module._BLOCK = saved
