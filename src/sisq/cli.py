@@ -39,6 +39,10 @@ from sisq.stationary import log_expected_extinction_time, stationary_distributio
 
 SCHEMA_VERSION = 1
 
+# Rows a trajectory export formats and writes at a time, so that it holds
+# one chunk of text, never the whole event log.
+_CHUNK = 1 << 16
+
 __all__ = ["main"]
 
 
@@ -52,21 +56,23 @@ def _fmt_cell(x) -> str:
     return str(x)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(path: str, pieces) -> None:
+    """Write the strings of `pieces`, in order, to `path` or to stdout ('-')."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.writelines(pieces)
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    _write(path, ["\n".join(lines) + "\n"])
 
 
 def _write_json(path: str, obj: dict) -> None:
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
+    _write(path, [json.dumps(obj, indent=2) + "\n"])
 
 
 def _params_json(p: ModelParams) -> dict:
@@ -230,16 +236,26 @@ def _cmd_compare(args) -> int:
 
 
 def _trajectory_output(args, tr) -> None:
-    # The event log can hold millions of rows, so each column becomes a
-    # list once and is formatted by a single map.  The bytes are the ones
-    # _write_csv and _write_json would write.
-    times = tr.times.tolist()
-    states = tr.states.tolist()
-    flags = tr.restart_flags.astype(int).tolist()
-    if args.format == "csv":
-        rows = "\n".join(map("{!r},{},{}".format, times, states, flags))
-        _write_text(args.output, "time,state,restart_flag\n" + rows + "\n")
-        return
+    pieces = _csv_pieces(tr) if args.format == "csv" else _json_pieces(args, tr)
+    _write(args.output, pieces)
+
+
+def _csv_pieces(tr):
+    # One string per _CHUNK rows.  Only the times are formatted per row:
+    # the 2(n+1) possible suffixes ",state,flag\n" are formatted once and
+    # looked up by state + (n+1)*flag.
+    yield "time,state,restart_flag\n"
+    width = tr.n + 1
+    suffixes = [f",{state},{flag}\n" for flag in (0, 1) for state in range(width)]
+    for i in range(0, tr.times.size, _CHUNK):
+        keys = tr.states[i:i + _CHUNK] + width * tr.restart_flags[i:i + _CHUNK]
+        cells = [None, None] * keys.size
+        cells[::2] = map(float.__repr__, tr.times[i:i + _CHUNK].tolist())
+        cells[1::2] = map(suffixes.__getitem__, keys.tolist())
+        yield "".join(cells)
+
+
+def _json_pieces(args, tr):
     head = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",
@@ -253,14 +269,19 @@ def _trajectory_output(args, tr) -> None:
     }, indent=2)
     # json.dumps never uses its C encoder when indent is set, so the
     # columns (never empty: the log starts with the initial row) are
-    # spliced in with the layout indent=2 gives them.
-    columns = "".join(
-        f',\n  "{key}": [\n    ' + ",\n    ".join(map(fmt, col)) + "\n  ]"
-        for key, fmt, col in (("time", float.__repr__, times),
-                              ("state", int.__repr__, states),
-                              ("restart_flag", int.__repr__, flags))
-    )
-    _write_text(args.output, head[:-2] + columns + "\n}\n")
+    # spliced in, _CHUNK items at a time, with the layout indent=2 gives
+    # them.  int.__repr__ prints a restart flag True as 1.
+    yield head[:-2]
+    for key, fmt, col in (("time", float.__repr__, tr.times),
+                          ("state", int.__repr__, tr.states),
+                          ("restart_flag", int.__repr__, tr.restart_flags)):
+        yield f',\n  "{key}": [\n    '
+        for i in range(0, col.size, _CHUNK):
+            if i:
+                yield ",\n    "
+            yield ",\n    ".join(map(fmt, col[i:i + _CHUNK].tolist()))
+        yield "\n  ]"
+    yield "\n}\n"
 
 
 def _cmd_simulate(args) -> int:

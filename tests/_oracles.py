@@ -7,16 +7,20 @@ recurrences instead of log-gamma closed forms, LAPACK's stebz/stein
 eigenpair instead of the flux recurrence.  The exceptions are frozen
 copies that pin the library's output bit for bit rather than check it by
 another route: flux_bisection_reference, the flux solver as it stood
-before its halving phase became a binary search, and jump_reference and
+before its halving phase became a binary search; jump_reference and
 run_reference, the Gillespie loops as they stood when each event indexed
-into a block of draws turned into Python lists.
+into a block of draws turned into Python lists; and
+trajectory_output_reference, the trajectory export as it stood when it
+built the whole file as one string.
 """
 
+import json
 import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+import sisq.cli as cli
 import sisq.sim as sim
 from sisq.chain import ModelParams, TransientGenerator, build_transient_generator
 from sisq.spectral import ConvergenceError, SymmetrizedGenerator
@@ -297,3 +301,35 @@ def jump_reference(births: list, totals: list, state: int, t_stop: float,
         state = state + 1 if unis[k] * total < birth else state - 1
         k += 1
     return state, t
+
+
+def trajectory_output_reference(args, tr: sim.Trajectory) -> str:
+    """Text of `cli._trajectory_output` as it stood when it joined the whole
+    event log into one string before writing it.
+
+    Verbatim apart from returning the text instead of writing it.
+    """
+    times = tr.times.tolist()
+    states = tr.states.tolist()
+    flags = tr.restart_flags.astype(int).tolist()
+    if args.format == "csv":
+        rows = "\n".join(map("{!r},{},{}".format, times, states, flags))
+        return "time,state,restart_flag\n" + rows + "\n"
+    head = json.dumps({
+        "schema_version": cli.SCHEMA_VERSION,
+        "command": "simulate",
+        "mode": args.mode,
+        "params": cli._params_json(cli._params_from_args(args)),
+        "t_end": tr.t_end,
+        "final_state": tr.final_state,
+        "n_events": tr.n_events,
+        "n_restarts": tr.n_restarts,
+        "log_truncated": tr.log_truncated,
+    }, indent=2)
+    columns = "".join(
+        f',\n  "{key}": [\n    ' + ",\n    ".join(map(fmt, col)) + "\n  ]"
+        for key, fmt, col in (("time", float.__repr__, times),
+                              ("state", int.__repr__, states),
+                              ("restart_flag", int.__repr__, flags))
+    )
+    return head[:-2] + columns + "\n}\n"

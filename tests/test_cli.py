@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,9 +7,11 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from _oracles import trajectory_output_reference
 
 import sisq
 import sisq.chain
@@ -388,6 +391,65 @@ def test_trajectory_output_bytes_are_pinned(case, fmt, tmp_path, capsys, monkeyp
         flags = [int(row[2]) for row in parse_csv(out)[1]]
     assert len(flags) == {"one_row": 1, "truncated": 6}.get(case, len(flags))
     assert (1 in flags) is (case in ("restarted", "truncated"))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@pytest.mark.parametrize("case,fmt", sorted(_TRAJECTORY_SHA256))
+def test_trajectory_output_bytes_hold_across_chunk_sizes(case, fmt, chunk, tmp_path,
+                                                         capsys, monkeypatch):
+    monkeypatch.setattr(sisq.cli, "_CHUNK", chunk)
+    flags, cap = _TRAJECTORY_CASES[case]
+    if cap is not None:
+        monkeypatch.setattr(sisq.sim, "MAX_LOGGED_EVENTS", cap)
+    argv = ("simulate", *flags, "--format", fmt)
+    target = tmp_path / f"traj.{fmt}"
+    assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert run_cli(capsys, *argv, "--output", "-") == (0, target.read_text(), "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == _TRAJECTORY_SHA256[case, fmt]
+
+
+# About 255k rows, so that the export runs over several chunks.
+_LONG_RUN = ("simulate", "--mode", "restarted", "--n", "100", "--r0", "2",
+             "--t-max", "2600", "--seed", "5")
+
+
+@pytest.fixture(scope="module")
+def long_run():
+    args = sisq.cli._build_parser().parse_args(_LONG_RUN)
+    p = sisq.cli._params_from_args(args)
+    return sisq.sim.simulate_restarted(p, args.t_max, sisq.sim.SeedSpec(args.seed))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_long_trajectory_output_matches_reference(fmt, long_run, tmp_path, capsys):
+    assert long_run.times.size > 2 * sisq.cli._CHUNK
+    argv = (*_LONG_RUN, "--format", fmt, "--output", str(tmp_path / "traj"))
+    assert run_cli(capsys, *argv) == (0, "", "")
+    args = sisq.cli._build_parser().parse_args(argv)
+    assert (tmp_path / "traj").read_text() == trajectory_output_reference(args, long_run)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trajectory_output_memory_does_not_grow_with_the_log(fmt, long_run, tmp_path):
+    # Peak allocation of the export of the first 70k and 140k rows, both
+    # past the first chunk: the second 70k may add at most 16 B a row.
+    # Building the whole file as one string cost 151 B (CSV) and 163 B
+    # (JSON) a row.
+    args = sisq.cli._build_parser().parse_args(
+        (*_LONG_RUN, "--format", fmt, "--output", str(tmp_path / "traj")))
+    sizes = (70_000, 140_000)
+    peaks = []
+    for rows in sizes:
+        tr = dataclasses.replace(long_run, times=long_run.times[:rows],
+                                 states=long_run.states[:rows],
+                                 restart_flags=long_run.restart_flags[:rows])
+        tracemalloc.start()
+        try:
+            sisq.cli._trajectory_output(args, tr)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) <= 16, peaks
 
 
 def test_ensemble_csv_requires_output_path(capsys):

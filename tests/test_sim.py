@@ -46,6 +46,25 @@ def test_seed_spec_generator_is_deterministic():
     assert np.array_equal(a, key)
 
 
+_EDGE_SEEDS = (0, 1, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("root", _EDGE_SEEDS)
+def test_seed_spec_key_is_exact_for_every_64_bit_seed(root):
+    # Philox's 128-bit integer key root + (r << 64) holds the words
+    # [root, r] with no float64 conversion on the way.
+    for r in (0, 3):
+        want = np.random.Generator(np.random.Philox(key=root + (r << 64))).random(4)
+        assert np.array_equal(SeedSpec(root).generator(r).random(4), want)
+
+
+def test_distinct_seeds_never_share_a_stream():
+    streams = {tuple(SeedSpec(root).generator(r).random(4))
+               for root in _EDGE_SEEDS for r in (0, 3)}
+    assert len(streams) == 2 * len(_EDGE_SEEDS)
+
+
 def test_simulate_validation():
     p = ModelParams(5, 1.0)
     with pytest.raises(ValueError):
