@@ -116,19 +116,6 @@ class TransientGenerator:
         if self.lower.shape != (max(self.n - 1, 0),) or self.upper.shape != self.lower.shape:
             raise ValueError(f"off-diagonals must have length n-1={self.n - 1}")
 
-    def row_sums(self) -> np.ndarray:
-        """Row sums, i.e. the generator applied to the all-ones vector.
-
-        The off-diagonal mass is accumulated before the diagonal is
-        added, so rows 2..n cancel exactly in floating point; row 1
-        equals -gamma up to one rounding of birth_rate(1) + gamma.
-        """
-        rs = np.zeros(self.n)
-        rs[1:] += self.lower
-        rs[:-1] += self.upper
-        rs += self.diag
-        return rs
-
 
 def build_transient_generator(p: ModelParams) -> TransientGenerator:
     """Assemble the banded transient generator for the given parameters.

@@ -164,9 +164,7 @@ def _extinction_record(p: ModelParams, method: str, args) -> dict:
         rec["log_value"] = math.log(rec["value"])
     elif method == "clt":
         rec["log_value"] = expected_time_clt(p).log
-    elif method == "simulate":
-        if args.seed is None:
-            raise ValueError("--method simulate requires --seed")
+    else:  # "simulate": _cmd_extinction_time has refused any other name
         init = quasi_stationary_distribution(p).qsd
         res = extinction_time_samples(
             p, args.replicates, SeedSpec(args.seed), init, workers=args.workers
@@ -176,8 +174,6 @@ def _extinction_record(p: ModelParams, method: str, args) -> dict:
         se = res.standard_error
         rec["se"] = None if math.isnan(se) else se
         rec["replicates"] = res.replicates
-    else:
-        raise ValueError(f"unknown method {method!r}")
     if rec["value"] is None:
         try:
             rec["value"] = math.exp(rec["log_value"])
@@ -191,6 +187,12 @@ def _cmd_extinction_time(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise ValueError("no method given")
+    # The whole list is checked before any route runs.
+    for method in methods:
+        if method not in ("exact", "qsd", "clt", "simulate"):
+            raise ValueError(f"unknown method {method!r}")
+        if method == "simulate" and args.seed is None:
+            raise ValueError("--method simulate requires --seed")
     records = [_extinction_record(p, m, args) for m in methods]
     if args.format == "csv":
         header = ["method", "n", "lambda", "gamma", "r0", "value",
@@ -298,6 +300,11 @@ def _cmd_simulate(args) -> int:
         _trajectory_output(args, simulate_restarted(p, args.t_max, seed))
         return 0
 
+    if args.format == "csv" and args.output == "-":
+        raise ValueError(
+            "ensemble CSV needs --output so the normal-curve JSON sidecar "
+            "has a destination"
+        )
     res = conditioned_ensemble(
         p, args.replicates, args.t_max, seed, y0=args.y0, workers=args.workers
     )
@@ -323,11 +330,6 @@ def _cmd_simulate(args) -> int:
         "survival_fraction": res.survival_fraction,
     }
     if args.format == "csv":
-        if args.output == "-":
-            raise ValueError(
-                "ensemble CSV needs --output so the normal-curve JSON sidecar "
-                "has a destination"
-            )
         rows = [(int(k + 1), int(counts[k]), res.survivors) for k in occupied]
         _write_csv(args.output, ["state", "count", "survivors"], rows)
         _write_json(str(Path(args.output).with_suffix(".normal.json")), meta)

@@ -2,10 +2,11 @@
 
 For R0 = lambda/gamma > 1 the scaled infective fraction concentrates at
 the endemic equilibrium y_hat = 1 - 1/R0, and the fluctuation around it is
-asymptotically Gaussian.  This module carries the scalar drift/diffusion
-pair, the variance ODE with its closed-form solution, the resulting normal
-law N(mu_n, sigma2_n) for the infective count, and the approximations to
-the first QSD entry and the mean extinction time that follow from it.
+asymptotically Gaussian.  This module carries the endemic equilibrium
+with the drift derivative and diffusion coefficient there, the variance
+ODE with its closed-form solution, the resulting normal law
+N(mu_n, sigma2_n) for the infective count, and the approximations to the
+first QSD entry and the mean extinction time that follow from it.
 
 Everything here presupposes R0 > 1; at or below criticality the endemic
 equilibrium collapses to 0 and the formulas are meaningless, so those
@@ -25,9 +26,6 @@ from sisq.chain import ModelParams
 __all__ = [
     "LogValue",
     "EndemicSummary",
-    "drift",
-    "drift_derivative",
-    "diffusion",
     "variance_at",
     "integrate_variance_ode",
     "endemic_normal",
@@ -50,9 +48,6 @@ class LogValue:
     @property
     def value(self) -> float:
         return math.exp(self.log)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -85,45 +80,13 @@ def _require_supercritical(p: ModelParams) -> None:
         )
 
 
-def _check_fraction(y: float) -> float:
-    y = float(y)
-    if not 0.0 <= y <= 1.0:
-        raise ValueError(f"infected fraction must lie in [0, 1], got {y!r}")
-    return y
-
-
-def drift(y: float, p: ModelParams) -> float:
-    """Deterministic-limit drift of the infected fraction.
-
-    Args:
-        y: infected fraction in [0, 1].
-        p: model parameters.
-
-    Returns:
-        lambda*y*(1-y) - gamma*y.
-    """
-    y = _check_fraction(y)
-    return p.lam * y * (1.0 - y) - p.gamma * y
-
-
-def drift_derivative(y: float, p: ModelParams) -> float:
-    """Derivative of the drift: lambda*(1-2y) - gamma."""
-    y = _check_fraction(y)
-    return p.lam * (1.0 - 2.0 * y) - p.gamma
-
-
-def diffusion(y: float, p: ModelParams) -> float:
-    """Diffusion coefficient: lambda*y*(1-y) + gamma*y (total event rate)."""
-    y = _check_fraction(y)
-    return p.lam * y * (1.0 - y) + p.gamma * y
-
-
 def endemic_normal(p: ModelParams) -> EndemicSummary:
     """Endemic equilibrium summary and the normal law N(mu_n, sigma2_n).
 
     g_hat is constructed as -2 * dF_hat * sigma2_inf so the stationary
     Lyapunov relation -g_hat = 2 * dF_hat * sigma2_inf holds exactly in
-    floating point; it agrees with diffusion(y_hat) to rounding.
+    floating point; it agrees with the diffusion coefficient
+    lambda*y*(1-y) + gamma*y at y_hat to rounding.
 
     Raises:
         ValueError: R0 <= 1.

@@ -58,7 +58,6 @@ __all__ = [
     "ZeroSurvivorsError",
     "simulate",
     "simulate_restarted",
-    "empirical_occupancy",
     "conditioned_ensemble",
     "extinction_time_samples",
 ]
@@ -261,20 +260,6 @@ def simulate_restarted(p: ModelParams, t_max: float, seed: SeedSpec) -> Trajecto
     accumulates occupancy time.
     """
     return _run(p, 1, _check_horizon(t_max), seed.generator(), restarted=True)
-
-
-def empirical_occupancy(tr: Trajectory) -> np.ndarray:
-    """Time-weighted fraction of time spent in each state 1..n.
-
-    Computed from the exact occupancy clocks, so it remains valid when
-    the event log was truncated.  Rejects trajectories that accumulated
-    no time in the transient states.
-    """
-    mass = tr.state_time[1:]
-    total = mass.sum()
-    if not total > 0.0:
-        raise ValueError("trajectory spent no time in transient states")
-    return mass / total
 
 
 def _jump(births: list, totals: list, state: int, t_stop: float,

@@ -27,6 +27,7 @@ LAPACK's Sturm-count bisection and inverse iteration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,10 +46,8 @@ __all__ = [
     "symmetrize",
     "quasi_stationary_distribution",
     "expected_time_qsd",
-    "survival_probability",
     "full_decomposition",
     "transition_matrix",
-    "transition_probability",
     "conditioned_distribution",
     "FULL_DECOMPOSITION_SIZE_CAP",
 ]
@@ -217,18 +216,30 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
     would also test or lies below gamma / 2^(k+1), so it finds the same k.
     ldexp(gamma, -k) is the value the walk reaches by k exact halvings
     (exact while it is a normal float, which the _MAX_LOG_FLUX_SUM refusal
-    ensures for gamma above ~1e-27).  So the bracket, and hence lambda1
-    and the QSD, are bit-identical to the walk's, while its
-    log2(gamma / theta*) sweeps shrink to about log2 of that.
+    ensures, gamma being scaled into [1, 2) as below).  So the bracket,
+    and hence lambda1 and the QSD, are bit-identical to the walk's, while
+    its log2(gamma / theta*) sweeps shrink to about log2 of that.
+
+    Both phases run on the rates scaled by 2^-m, with m the binary
+    exponent of gamma, so the scaled gamma lies in [1, 2).  theta is
+    homogeneous of degree 1 in the rates and the QSD of degree 0, and a
+    power-of-two scaling is exact, so the result is unchanged wherever the
+    unscaled sweep stayed in the normal double range; far from gamma = 1
+    it keeps the products b_j * v_j and the bisection midpoints
+    sqrt(lo * hi) from overflowing or underflowing.
 
     n = 1 needs no case of its own: the sweep takes no step, so S_n = 1,
     every trial below gamma lies below the rate, and the polish returns
     theta = gamma and qsd = [1] exactly.
 
     Raises:
+        OverflowError: the flux sum or theta itself leaves the normal
+            double range.
         ConvergenceError: the sweep at gamma / 2^k_hi is not below the
             rate, so the lower bound failed; iterations is the sweep count.
     """
+    m = math.frexp(p.gamma)[1] - 1
+    p = ModelParams(p.n, math.ldexp(p.lam, -m), math.ldexp(p.gamma, -m))
     n = p.n
     gamma = p.gamma
     log_s0 = _log_flux_sum_at_zero(p)
@@ -282,7 +293,12 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
     # Polish: at the converged sweep the eigen-identity pins theta to
     # gamma / S_n, which lands inside (lo, theta*] and makes the reported
     # pair satisfy lambda1 = -gamma * qsd[0] to rounding by construction.
-    theta = gamma / s_lo
+    theta = math.ldexp(gamma / s_lo, m)
+    if not theta >= sys.float_info.min:
+        raise OverflowError(
+            "dominant eigenvalue magnitude underflows the normal double range "
+            "at these parameters; the spectral route cannot represent it"
+        )
     return theta, v_lo / s_lo
 
 
@@ -300,8 +316,9 @@ def quasi_stationary_distribution(p: ModelParams) -> SpectralResult:
     rounding.  Results are cached per parameter set and immutable.
 
     Raises:
-        OverflowError: |lambda1| underflows double precision (extinction
-            time beyond ~1e280); no double-precision result exists.
+        OverflowError: |lambda1| is not a normal double (extinction
+            time beyond ~1e280 / gamma, or gamma itself near the bottom of
+            the double range); no double-precision result exists.
         ConvergenceError: bisection failed (not expected for valid
             parameters).
     """
@@ -313,26 +330,19 @@ def expected_time_qsd(p: ModelParams) -> float:
 
     Equals the reciprocal of gamma times the first QSD entry, which is
     also -1/lambda1.
+
+    Raises:
+        OverflowError: as quasi_stationary_distribution, or when that
+            reciprocal is beyond the normal double range.
     """
     r = quasi_stationary_distribution(p)
-    return 1.0 / (p.gamma * float(r.qsd[0]))
-
-
-def survival_probability(p: ModelParams, t: float) -> float:
-    """P(not yet extinct at time t) = exp(lambda1 * t).
-
-    Assumes the process starts distributed as the quasi-stationary
-    distribution; from that start the survival law is exactly
-    exponential.
-
-    Args:
-        p: model parameters.
-        t: elapsed time, >= 0.
-    """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t!r}")
-    r = quasi_stationary_distribution(p)
-    return math.exp(r.lambda1 * t)
+    rate = p.gamma * float(r.qsd[0])
+    if not rate >= sys.float_info.min:
+        raise OverflowError(
+            "mean absorption time 1/(gamma * q1) overflows double precision "
+            "at these parameters"
+        )
+    return 1.0 / rate
 
 
 def full_decomposition(s: SymmetrizedGenerator) -> SpectralResult:
@@ -412,13 +422,6 @@ def transition_matrix(p: ModelParams, t: float) -> np.ndarray:
     Entries are clipped to [0, 1], where roundoff can stray by a few ulp.
     """
     return _propagate(p, t, slice(None))
-
-
-def transition_probability(p: ModelParams, t: float, i: int, j: int) -> float:
-    """P(Y(t) = j and not yet extinct | Y(0) = i), states 1-based."""
-    if not (1 <= i <= p.n and 1 <= j <= p.n):
-        raise ValueError(f"states must lie in 1..{p.n}, got i={i}, j={j}")
-    return float(_propagate(p, t, i - 1)[j - 1])
 
 
 def conditioned_distribution(p: ModelParams, t: float, i: int) -> np.ndarray:

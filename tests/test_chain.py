@@ -122,7 +122,12 @@ def test_row_sums_leak_only_from_state_one():
     for n, lam, gamma in ((2, 1.0, 1.0), (3, 1.0, 1.0), (7, 0.3, 1.7),
                           (50, 5.0, 1.0), (201, 0.9, 0.4)):
         p = ModelParams(n, lam, gamma)
-        rs = build_transient_generator(p).row_sums()
+        g = build_transient_generator(p)
+        # off-diagonal mass first, then the diagonal, as Q applied to ones
+        rs = np.zeros(n)
+        rs[1:] += g.lower
+        rs[:-1] += g.upper
+        rs += g.diag
         assert np.all(rs[1:] == 0.0)
         assert abs(rs[0] + gamma) <= np.spacing(birth_rate(1, p) + gamma)
 

@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -220,6 +222,48 @@ def test_extinction_time_simulate_refuses_past_event_budget(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert err.startswith("error:") and "budget of 1e10 events" in err
+
+
+@pytest.mark.parametrize("methods, seed, message", [
+    ("simulate,bogus", ["--seed", "1"], "unknown method 'bogus'"),
+    ("exact,qsd,clt,simulate", [], "--method simulate requires --seed"),
+    ("bogus,simulate", [], "unknown method 'bogus'"),
+    (",", [], "no method given"),
+])
+def test_extinction_time_refuses_method_list_before_any_route(
+        capsys, monkeypatch, methods, seed, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route ran before the method list was checked")
+
+    for name in ("log_expected_extinction_time", "expected_time_qsd",
+                 "expected_time_clt", "quasi_stationary_distribution",
+                 "extinction_time_samples"):
+        monkeypatch.setattr(sisq.cli, name, refuse)
+    code, out, err = run_cli(capsys, "extinction-time", "--n", "20", "--r0", "2",
+                             "--method", methods, "--replicates", "20000", *seed)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("qsd", "--n", "10", "--r0", "2", "--gamma", "5e-324"),
+    ("qsd", "--n", "10", "--r0", "2", "--gamma", "1e-310"),
+    ("extinction-time", "--n", "10", "--r0", "2", "--gamma", "1e-310",
+     "--method", "qsd"),
+])
+def test_subnormal_decay_rate_is_refused_not_inf(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "normal double" in err
+
+
+def test_extinction_time_qsd_far_from_unit_gamma(capsys):
+    code, out, _ = run_cli(capsys, "extinction-time", "--n", "10", "--r0", "2",
+                           "--gamma", "1e160", "--method", "qsd")
+    assert code == 0
+    _, rows = parse_csv(out)
+    want = expected_time_qsd(ModelParams(10, 2.0, 1.0)) / 1e160
+    assert float(rows[0][5]) == pytest.approx(want, rel=1e-13)
 
 
 def test_compare_long_format(capsys):
@@ -460,6 +504,19 @@ def test_ensemble_csv_requires_output_path(capsys):
     assert "--output" in err
 
 
+def test_ensemble_csv_refuses_stdout_before_sampling(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before the destination was checked")
+
+    monkeypatch.setattr(sisq.cli, "conditioned_ensemble", refuse)
+    code, out, err = run_cli(capsys, "simulate", "--mode", "ensemble", "--n", "1000",
+                             "--r0", "5", "--replicates", "2000", "--t-max", "10",
+                             "--seed", "42")
+    assert code == 1 and out == ""
+    assert err == ("error: ensemble CSV needs --output so the normal-curve JSON "
+                   "sidecar has a destination\n")
+
+
 def test_ensemble_histogram_and_sidecar(tmp_path, capsys):
     target = tmp_path / "hist.csv"
     code, _, _ = run_cli(capsys, "simulate", "--n", "100", "--r0", "5",
@@ -541,6 +598,43 @@ def test_each_public_name_is_listed_once():
     assert len(names) == len(set(names))
     assert all(hasattr(mod, name) for mod in mods for name in mod.__all__)
     assert not hasattr(sisq, "__all__")
+
+
+def _system_identifiers() -> set:
+    """Identifiers the system itself uses: the package, the benchmark, the
+    release criteria and the README's code.
+
+    From the Python sources it takes Name and Attribute nodes and
+    ImportFrom aliases, so a name's own def/class, its __all__ string and
+    docstrings do not count.  From the README it takes every identifier
+    inside a code span or block.
+    """
+    root = Path(__file__).resolve().parents[1]
+    paths = [*sorted((root / "src" / "sisq").glob("*.py")),
+             *sorted((root / "bench").glob("*.py")),
+             root / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    readme = (root / "README.md").read_text()
+    for code in re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.DOTALL):
+        used.update(re.findall(r"[A-Za-z_]\w*", code))
+    return used
+
+
+def test_every_public_name_has_a_system_user():
+    # an export that only its own unit tests call belongs under tests/
+    used = _system_identifiers()
+    mods = (sisq.chain, sisq.stationary, sisq.spectral, sisq.clt, sisq.sim, sisq.cli)
+    unused = [f"{mod.__name__}.{name}" for mod in mods for name in mod.__all__
+              if name not in used]
+    assert not unused
 
 
 def test_cli_entrypoint_subprocess():

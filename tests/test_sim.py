@@ -16,7 +16,6 @@ from sisq.sim import (
     Trajectory,
     ZeroSurvivorsError,
     conditioned_ensemble,
-    empirical_occupancy,
     extinction_time_samples,
     simulate,
     simulate_restarted,
@@ -160,24 +159,21 @@ def test_pooled_waiting_times_match_rates():
         assert abs(waits.mean() - want) <= 3.0 * se
 
 
+def _occupancy(tr: Trajectory) -> np.ndarray:
+    """Fraction of the transient time spent in each state 1..n."""
+    return tr.state_time[1:] / tr.state_time[1:].sum()
+
+
 def test_occupancy_converges_to_stationary():
     p = ModelParams(2, 1.0, 1.0)
-    occ = empirical_occupancy(simulate_restarted(p, 1e5, SeedSpec(17)))
+    occ = _occupancy(simulate_restarted(p, 1e5, SeedSpec(17)))
     assert occ.sum() == pytest.approx(1.0, abs=1e-12)
     tv = 0.5 * np.abs(occ - stationary_distribution(p)).sum()
     assert tv < 0.01
     p7 = ModelParams(7, 1.2, 1.0)
-    occ7 = empirical_occupancy(simulate_restarted(p7, 1e5, SeedSpec(19)))
+    occ7 = _occupancy(simulate_restarted(p7, 1e5, SeedSpec(19)))
     tv7 = 0.5 * np.abs(occ7 - stationary_distribution(p7)).sum()
     assert tv7 < 0.02
-
-
-def test_occupancy_rejects_zero_time():
-    tr = Trajectory(n=2, times=[0.0], states=[1], restart_flags=[False],
-                    t_end=0.0, state_time=[0.0, 0.0, 0.0], n_events=0,
-                    n_restarts=0, final_state=1, log_truncated=False)
-    with pytest.raises(ValueError):
-        empirical_occupancy(tr)
 
 
 def test_event_log_cap_keeps_statistics_exact(monkeypatch):
@@ -189,7 +185,7 @@ def test_event_log_cap_keeps_statistics_exact(monkeypatch):
     assert tr.n_events > 5
     assert tr.t_end == 200.0
     assert tr.state_time.sum() == pytest.approx(200.0, rel=1e-10)
-    assert empirical_occupancy(tr).sum() == pytest.approx(1.0, abs=1e-12)
+    assert _occupancy(tr).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("cap", range(1, 9))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,10 +25,8 @@ from sisq.spectral import (
     expected_time_qsd,
     full_decomposition,
     quasi_stationary_distribution,
-    survival_probability,
     symmetrize,
     transition_matrix,
-    transition_probability,
 )
 
 N2_LAMBDA1 = (-3.5 + math.sqrt(4.25)) / 2.0
@@ -175,17 +174,6 @@ def test_expected_time_qsd_is_negative_reciprocal_eigenvalue():
         assert expected_time_qsd(p) == pytest.approx(-1.0 / r.lambda1, rel=1e-12)
 
 
-def test_survival_probability():
-    p = ModelParams(2, 1.0, 1.0)
-    assert survival_probability(p, 0.0) == 1.0
-    assert survival_probability(p, 1.0) == pytest.approx(math.exp(N2_LAMBDA1), rel=1e-9)
-    ts = [0.5, 1.0, 3.0, 10.0]
-    vals = [survival_probability(p, t) for t in ts]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        survival_probability(p, -0.1)
-
-
 def test_full_decomposition_single_state():
     r = full_decomposition(symmetrize(ModelParams(1, 1.0, 3.0)))
     assert r.eigenvalues.tolist() == [-3.0]
@@ -239,15 +227,8 @@ def test_transition_matrix_bounds_and_domain():
 
 
 def test_transition_probability_scalar_generator():
-    assert transition_probability(ModelParams(1, 1.0, 1.0), 2.0, 1, 1) == \
+    assert transition_matrix(ModelParams(1, 1.0, 1.0), 2.0)[0, 0] == \
         pytest.approx(math.exp(-2.0), rel=1e-12)
-
-
-def test_transition_probability_state_validation():
-    p = ModelParams(4, 1.0)
-    for i, j in ((0, 1), (1, 0), (5, 1), (1, 5)):
-        with pytest.raises(ValueError):
-            transition_probability(p, 1.0, i, j)
 
 
 def test_transition_row_sum_is_survival_from_state():
@@ -284,8 +265,6 @@ def test_single_rows_do_not_assemble_the_matrix(monkeypatch):
     for (p, t, i), row in zip(cases, want):
         got = conditioned_distribution(p, t, i)
         assert np.abs(got - row / row.sum()).max() <= 1e-14
-        for j in (1, p.n):
-            assert abs(transition_probability(p, t, i, j) - row[j - 1]) <= 1e-14
 
 
 def test_conditioned_distribution_rows_sum_to_one():
@@ -320,6 +299,37 @@ def test_conditioned_probability_at_zero():
 def test_underflow_guard_names_the_regime():
     with pytest.raises(OverflowError, match="underflows double"):
         quasi_stationary_distribution(ModelParams(1000, 5.0, 1.0))
+
+
+@pytest.mark.parametrize("gamma", [1e-300, 1e-160, 1e160, 1e200])
+@pytest.mark.parametrize("n, r0", [(10, 2.0), (100, 2.0), (400, 5.0)])
+def test_flux_solver_scale_invariant_far_from_unit_gamma(n, r0, gamma):
+    # scaling lambda and gamma together scales lambda1 and leaves the QSD
+    # unchanged (Nasell, J. R. Statist. Soc. B 61, 1999).  Entries above
+    # the mode are tail noise (ROADMAP item 1), so only the head is held.
+    ref = quasi_stationary_distribution(ModelParams(n, r0, 1.0))
+    p = ModelParams(n, r0 * gamma, gamma)
+    if -ref.lambda1 * gamma < sys.float_info.min:
+        with pytest.raises(OverflowError):
+            quasi_stationary_distribution(p)
+        with pytest.raises(OverflowError):
+            expected_time_qsd(p)
+        return
+    r = quasi_stationary_distribution(p)
+    assert r.lambda1 / gamma == pytest.approx(ref.lambda1, rel=1e-13, abs=0.0)
+    head = slice(0, int(np.argmax(ref.qsd)) + 1)
+    assert np.allclose(r.qsd[head], ref.qsd[head], rtol=1e-13, atol=0.0)
+    assert expected_time_qsd(p) * gamma == pytest.approx(
+        expected_time_qsd(ModelParams(n, r0, 1.0)), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma", [1e-310, 5e-324])
+def test_flux_solver_refuses_subnormal_decay_rate(gamma):
+    p = ModelParams(10, 2.0 * gamma, gamma)
+    with pytest.raises(OverflowError, match="normal double"):
+        quasi_stationary_distribution(p)
+    with pytest.raises(OverflowError):
+        expected_time_qsd(p)
 
 
 def test_results_are_immutable_and_cached_consistently():
