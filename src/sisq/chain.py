@@ -52,6 +52,14 @@ class ModelParams:
             raise ValueError(f"infection rate must be positive and finite, got {self.lam!r}")
         if not math.isfinite(gamma) or gamma <= 0.0:
             raise ValueError(f"recovery rate must be positive and finite, got {self.gamma!r}")
+        # Each rate can be a normal double while their ratio overflows or
+        # underflows; every route would then turn R0 = inf or 0 into NaN.
+        r0 = lam / gamma
+        if not 0.0 < r0 < math.inf:
+            raise ValueError(
+                f"R0 = lambda/gamma must be a positive finite double, got "
+                f"{r0!r} from lambda={lam!r}, gamma={gamma!r}"
+            )
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "gamma", gamma)

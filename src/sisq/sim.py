@@ -9,7 +9,11 @@ against.
 Two event loops implement this.  `_run` is the recording loop behind
 `simulate` and `simulate_restarted`: it keeps the event log, the
 occupancy clocks and the restart rows, and stops at the horizon, or at
-absorption unless restarts are on.  `_jump` is the lean sampler behind
+absorption unless restarts are on.  It keeps the log one draw block at a
+time: the block's rows go to Python lists, which become arrays and are
+cleared when the block ends, and the arrays are joined after the run.  So
+the log peaks near 24 B a row, against 17 B once recorded.
+`_jump` is the lean sampler behind
 `conditioned_ensemble` and `extinction_time_samples`: it keeps nothing
 but the state and the clock, and stops at absorption or once the clock
 reaches t_stop (infinite for extinction times).  They stay apart because
@@ -64,11 +68,11 @@ __all__ = [
 
 # Beyond this many logged rows a trajectory keeps simulating but stops
 # recording individual events; occupancy and counters stay exact.  A row
-# costs 17 B in the finished Trajectory, but _run peaks at about 59 B a
-# row (n <= 256, whose states are cached ints) to 91 B (larger n) while
-# its lists turn into arrays (tracemalloc, CPython 3.11).  So a full log
-# peaks near 0.6-0.9 GB and then holds 170 MB; the CLI export adds under
-# 10 MB (one chunk of text) whatever the length.
+# costs 17 B in the finished Trajectory.  _run holds list rows for one
+# draw block only and peaks at about 24 B a row while it joins the block
+# arrays (tracemalloc, CPython 3.11, at n = 100 and n = 1000).  So a full
+# log peaks near 0.25 GB and then holds 170 MB; the CLI export adds under
+# 1 MB (one chunk of text) whatever the length.
 MAX_LOGGED_EVENTS = 10**7
 
 _BLOCK = 1024
@@ -169,8 +173,13 @@ def _rates(p: ModelParams) -> tuple[list, list]:
 def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
          restarted: bool) -> Trajectory:
     births, totals = _rates(p)
+    # The current block's rows; they move into the parts as arrays when
+    # the block ends.
     times = [0.0]
     states = [y0]
+    time_parts = []
+    state_parts = []
+    logged = 0  # rows already moved into the parts
     state_time = [0.0] * (p.n + 1)
     state = y0
     t = 0.0
@@ -180,7 +189,9 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
     cap = MAX_LOGGED_EVENTS + 1
     birth = births[state]
     total = totals[state]
-    while True:
+    running = True
+    while running:
+        room = cap - logged
         exps = memoryview(gen.standard_exponential(_BLOCK))
         unis = memoryview(gen.random(_BLOCK))
         for e, u in zip(exps, unis):
@@ -188,36 +199,46 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
             if t + wait >= t_max:
                 state_time[state] += t_max - t
                 t = t_max
+                running = False
                 break
             state_time[state] += wait
             t += wait
             state = state + 1 if u * total < birth else state - 1
             n_events += 1
-            if len(times) < cap:
+            if len(times) < room:
                 times.append(t)
                 states.append(state)
             else:
                 truncated = True
             if state == 0:
                 if not restarted:
+                    running = False
                     break
                 n_restarts += 1
                 state = 1
                 n_events += 1
-                if len(times) < cap:
+                if len(times) < room:
                     times.append(t)
                     states.append(state)
                 else:
                     truncated = True
             birth = births[state]
             total = totals[state]
-        else:
-            continue
-        break  # the block loop stopped at the horizon or at absorption
-    states_arr = np.asarray(states)
+        if times:  # empty past the cap, where the parts must stop growing
+            logged += len(times)
+            time_parts.append(np.array(times))
+            state_parts.append(np.array(states))
+            times.clear()
+            states.clear()
+    # One column at a time, each freeing its parts, so that the join holds
+    # at most three 8-byte copies of a row.
+    times_arr = np.concatenate(time_parts)
+    del time_parts
+    states_arr = np.concatenate(state_parts)
+    del state_parts
     return Trajectory(
         n=p.n,
-        times=np.asarray(times),
+        times=times_arr,
         states=states_arr,
         # A restart row is exactly a row whose previous row is at state 0:
         # plain runs stop there, and a truncated log is a prefix.

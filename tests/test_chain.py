@@ -34,6 +34,17 @@ def test_params_reject_bad_rates():
             ModelParams(5, lam, gamma)
 
 
+@pytest.mark.parametrize("lam, gamma, r0", [(1e300, 1e-300, "inf"),
+                                             (1e-300, 1e300, "0.0"),
+                                             (5e-324, 2.0, "0.0")])
+def test_params_reject_rate_ratio_outside_doubles(lam, gamma, r0):
+    # Both rates are valid doubles; their ratio is not a positive finite one.
+    with pytest.raises(ValueError) as info:
+        ModelParams(5, lam, gamma)
+    assert str(info.value) == (f"R0 = lambda/gamma must be a positive finite double, "
+                               f"got {r0} from lambda={lam!r}, gamma={gamma!r}")
+
+
 def test_params_defaults_and_r0():
     p = ModelParams(10, 3.0)
     assert p.gamma == 1.0

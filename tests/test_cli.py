@@ -257,6 +257,23 @@ def test_subnormal_decay_rate_is_refused_not_inf(capsys, args):
     assert err.startswith("error:") and "normal double" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("qsd",),
+    ("extinction-time", "--method", "exact"),
+    ("simulate", "--seed", "1", "--t-max", "1"),
+])
+@pytest.mark.parametrize("lam, gamma, r0", [("1e300", "1e-300", "inf"),
+                                             ("1e-300", "1e300", "0.0")])
+def test_rate_ratio_outside_doubles_is_refused(capsys, command, lam, gamma, r0):
+    # Used to print NaN cells (extinction-time), a math range error (qsd)
+    # or a refusal that blamed the infection rate.
+    code, out, err = run_cli(capsys, command[0], "--n", "10", "--lambda", lam,
+                             "--gamma", gamma, *command[1:])
+    assert code == 1 and out == ""
+    assert err == (f"error: R0 = lambda/gamma must be a positive finite double, "
+                   f"got {r0} from lambda={float(lam)!r}, gamma={float(gamma)!r}\n")
+
+
 def test_extinction_time_qsd_far_from_unit_gamma(capsys):
     code, out, _ = run_cli(capsys, "extinction-time", "--n", "10", "--r0", "2",
                            "--gamma", "1e160", "--method", "qsd")
@@ -494,6 +511,27 @@ def test_trajectory_output_memory_does_not_grow_with_the_log(fmt, long_run, tmp_
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) <= 16, peaks
+
+
+def test_restarted_command_memory_per_row(tmp_path):
+    # Marginal tracemalloc peak of the whole command, run plus export,
+    # between two horizons (about 48k and 97k rows): held to the bound of
+    # _run alone, 28 B a row (test_run_memory_per_logged_row).
+    rows, peaks = [], []
+    for t_max in ("500", "1000"):
+        target = tmp_path / f"traj{t_max}.csv"
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--mode", "restarted", "--n", "100", "--r0", "2",
+                         "--t-max", t_max, "--seed", "1", "--output", str(target)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        with target.open() as f:
+            rows.append(sum(1 for _ in f) - 1)
+    assert rows[1] - rows[0] > 40_000
+    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 28, (rows, peaks)
 
 
 def test_ensemble_csv_requires_output_path(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,46 @@ def test_truncated_log_is_a_prefix_of_the_full_log(monkeypatch, cap):
     for name in ("times", "states", "restart_flags"):
         assert np.array_equal(getattr(cut, name), getattr(full, name)[:cap + 1])
     assert (cut.n_events, cut.n_restarts) == (full.n_events, full.n_restarts)
+
+
+@pytest.mark.parametrize("cap", [1023, 1024, 1025, 2047, 2048])
+def test_log_cap_at_the_real_block_size(monkeypatch, cap):
+    # _run moves its log into arrays once per 1024-draw block, so these
+    # caps cut the log next to the first and second move.  About 3,800
+    # rows with about 400 restarts.
+    p, t_max, seed = ModelParams(5, 1.5), 1000.0, 1
+    full = simulate_restarted(p, t_max, SeedSpec(seed))
+    assert full.times.size > 3000 and full.n_restarts > 100
+    monkeypatch.setattr(sim_module, "MAX_LOGGED_EVENTS", cap)
+    cut = simulate_restarted(p, t_max, SeedSpec(seed))
+    assert cut.log_truncated and cut.times.size == cap + 1
+    for name in ("times", "states", "restart_flags"):
+        assert np.array_equal(getattr(cut, name), getattr(full, name)[:cap + 1])
+    assert (cut.n_events, cut.n_restarts) == (full.n_events, full.n_restarts)
+    _assert_kernels_match_reference(p, seed, "restarted", 1, t_max)
+
+
+@pytest.mark.parametrize("restarted, n, y0, horizons", [
+    (True, 100, 1, (500.0, 1000.0)),
+    (False, 1000, 500, (50.0, 100.0)),
+])
+def test_run_memory_per_logged_row(restarted, n, y0, horizons):
+    # Marginal tracemalloc peak of _run between two horizons, of about
+    # 50k and 100k rows.  Keeping the whole log in lists until the end cost
+    # 59 B a row at n = 100 (states are cached small ints) and 91 B at
+    # n = 1000; moved into arrays per block it costs about 24 B.
+    p = ModelParams(n, 2.0)
+    rows, peaks = [], []
+    for t_max in horizons:
+        tracemalloc.start()
+        try:
+            tr = sim_module._run(p, y0, t_max, SeedSpec(1).generator(), restarted)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rows.append(tr.times.size)
+    assert rows[1] - rows[0] > 40_000
+    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 28, (rows, peaks)
 
 
 def test_ensemble_validation():
