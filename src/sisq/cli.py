@@ -111,8 +111,21 @@ def _add_output_args(sp: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args, n: int | None = None) -> ModelParams:
-    """Model of the rate flags, at population --n unless `n` is given."""
-    lam = args.lam if args.lam is not None else args.r0 * args.gamma
+    """Model of the rate flags, at population --n unless `n` is given.
+
+    --r0 and its product with --gamma are checked here, where the flags
+    are known; ModelParams would blame the infection rate for either.
+    """
+    lam = args.lam
+    if lam is None:
+        lam = args.r0 * args.gamma
+        if not 0.0 < args.r0 < math.inf:
+            raise ValueError(f"--r0 must be positive and finite, got {args.r0!r}")
+        if not 0.0 < lam < math.inf:
+            raise ValueError(
+                f"--r0 * --gamma must be a positive finite double, got {lam!r} "
+                f"from --r0 {args.r0!r}, --gamma {args.gamma!r}"
+            )
     return ModelParams(n=args.n if n is None else n, lam=lam, gamma=args.gamma)
 
 

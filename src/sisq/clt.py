@@ -109,13 +109,14 @@ def endemic_normal(p: ModelParams) -> EndemicSummary:
 def variance_at(t: float, p: ModelParams) -> float:
     """Closed-form scaled variance (gamma/lambda)*(1 - exp(-2(lambda-gamma)t)).
 
-    Monotone increasing from 0 at t = 0 to the limit gamma/lambda.
+    Monotone increasing from 0 at t = 0 to the limit gamma/lambda, which
+    it returns at t = inf.
 
     Raises:
-        ValueError: R0 <= 1 or t < 0.
+        ValueError: R0 <= 1, or t is negative or NaN.
     """
     _require_supercritical(p)
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
     return -(p.gamma / p.lam) * math.expm1(-2.0 * (p.lam - p.gamma) * t)
 
@@ -130,7 +131,7 @@ def integrate_variance_ode(
     equilibrium.
 
     Args:
-        t_max: integration horizon, > 0.
+        t_max: integration horizon, positive and finite.
         p: model parameters with R0 > 1.
         steps: number of RK4 steps, >= 10.
 
@@ -138,11 +139,11 @@ def integrate_variance_ode(
         (times, sigma2) arrays of length steps + 1.
 
     Raises:
-        ValueError: R0 <= 1, t_max <= 0 or steps < 10.
+        ValueError: R0 <= 1, t_max not positive and finite, or steps < 10.
     """
     summ = endemic_normal(p)
-    if not t_max > 0:
-        raise ValueError(f"t_max must be > 0, got {t_max!r}")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if steps < 10:
         raise ValueError(f"steps must be >= 10, got {steps!r}")
     a = 2.0 * summ.dF_hat

@@ -21,7 +21,9 @@ full relative accuracy even when |lambda1| is hundreds of orders of
 magnitude below the matrix norm, a regime where any residual-based
 eigensolver returns pure rounding noise.  The full decomposition, needed
 only for propagators and identity checks at modest n, is delegated to
-LAPACK's Sturm-count bisection and inverse iteration.
+LAPACK's Sturm-count bisection and inverse iteration.  Its one limit is
+that every normalized detailed-balance weight must be a nonzero double,
+which no n above about 2,030 meets at any R0.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from sisq.stationary import log_stationary_weights
 
 __all__ = [
     "ConvergenceError",
-    "SizeCapError",
     "SymmetrizedGenerator",
     "SpectralResult",
     "symmetrize",
@@ -49,12 +50,7 @@ __all__ = [
     "full_decomposition",
     "transition_matrix",
     "conditioned_distribution",
-    "FULL_DECOMPOSITION_SIZE_CAP",
 ]
-
-# Dense eigenvector storage is O(n^2); the full spectrum only serves
-# propagator evaluation and identity checks, for which this is ample.
-FULL_DECOMPOSITION_SIZE_CAP = 4096
 
 # Bracket tolerance (relative) and iteration budget of the bisection.
 _BRACKET_RTOL = 1e-12
@@ -71,10 +67,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, iterations: int | None = None):
         super().__init__(message)
         self.iterations = iterations
-
-
-class SizeCapError(ValueError):
-    """Dense spectral work refused beyond FULL_DECOMPOSITION_SIZE_CAP."""
 
 
 @dataclass(frozen=True)
@@ -110,29 +102,21 @@ class SymmetrizedGenerator:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Dominant eigenpair of the transient generator, optionally full.
+    """Dominant eigenpair of the transient generator.
 
     Attributes:
         lambda1: dominant (algebraically largest) eigenvalue, < 0.
         qsd: quasi-stationary distribution over states 1..n (entry k is
             state k + 1); strictly positive, sums to 1.
-        eigenvalues: full spectrum in descending order, or None.
-        basis: orthonormal eigenvectors of the symmetrized matrix as
-            columns, ordered like eigenvalues, or None.
     """
 
     lambda1: float
     qsd: np.ndarray
-    eigenvalues: np.ndarray | None = None
-    basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name in ("qsd", "eigenvalues", "basis"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+        qsd = np.asarray(self.qsd, dtype=float)
+        qsd.flags.writeable = False
+        object.__setattr__(self, "qsd", qsd)
 
 
 def symmetrize(p: ModelParams) -> SymmetrizedGenerator:
@@ -345,75 +329,55 @@ def expected_time_qsd(p: ModelParams) -> float:
     return 1.0 / rate
 
 
-def full_decomposition(s: SymmetrizedGenerator) -> SpectralResult:
+def full_decomposition(s: SymmetrizedGenerator) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of the symmetrized generator, descending order.
 
-    The quasi-stationary vector is recovered from the top eigenvector u1
-    as u1 * W^(1/2), normalized to sum 1; eigenvectors are orthonormal to
-    1e-10 (LAPACK).  Refused before any allocation above
-    FULL_DECOMPOSITION_SIZE_CAP, and with ValueError when a normalized
-    detailed-balance weight underflows double precision.  The second is
-    the real limit: the largest accepted n is 439 at R0 = 0.5, 778 at
-    1.05, 891 at 1.2, 1488 at 2 and 925 at 5.
+    Returns (eigenvalues, basis): the eigenvalues in descending order and
+    the orthonormal eigenvectors (to 1e-10, LAPACK) as the columns of
+    basis, in the same order.
+
+    Refused with ValueError when a normalized detailed-balance weight
+    underflows double precision, before any O(n^2) allocation.  That is
+    the dense route's only limit: the largest accepted n is 439 at
+    R0 = 0.5, 778 at 1.05, 891 at 1.2, 1488 at 2 and 925 at 5.  No n
+    above about 2,030 is accepted at any R0 (that one near R0 = e),
+    because the log-weights span at least about n/e nats and exp
+    underflows past 745.
     """
-    if s.n > FULL_DECOMPOSITION_SIZE_CAP:
-        raise SizeCapError(
-            f"n={s.n} exceeds the dense decomposition cap "
-            f"{FULL_DECOMPOSITION_SIZE_CAP}"
-        )
     if not np.all(np.exp(s.log_weights - logsumexp(s.log_weights)) > 0.0):
         raise ValueError(
             "detailed-balance weight span exceeds double precision; the dense "
             "spectral route is unavailable at these parameters"
         )
     evals, evecs = eigh_tridiagonal(s.diag, s.offdiag)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    u1 = evecs[:, 0]
-    if u1[np.argmax(np.abs(u1))] < 0.0:
-        u1 = -u1
-        # Not only a defensive copy: it also turns LAPACK's F-ordered
-        # output into C order, and the propagator's BLAS products round
-        # differently on the two layouts.
-        evecs = evecs.copy()
-        evecs[:, 0] = u1
-    q = u1 * np.exp(0.5 * s.log_weights)
-    q = q / q.sum()
-    return SpectralResult(
-        lambda1=float(evals[0]), qsd=q, eigenvalues=evals, basis=evecs
-    )
+    return evals[::-1], evecs[:, ::-1]
 
 
 @lru_cache(maxsize=32)
 def _propagator_parts(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached (eigenvalues, right factors, left factors) for exp(Q t)."""
-    if p.n > FULL_DECOMPOSITION_SIZE_CAP:
-        raise SizeCapError(
-            f"n={p.n} exceeds the dense decomposition cap "
-            f"{FULL_DECOMPOSITION_SIZE_CAP}"
-        )
+    """Cached (eigenvalues, basis, sqrt of the weights W) for exp(Q t)."""
     s = symmetrize(p)
-    r = full_decomposition(s)
+    evals, basis = full_decomposition(s)
     sqw = np.exp(0.5 * s.log_weights)
-    right = r.basis / sqw[:, None]
-    left = r.basis * sqw[:, None]
-    for arr in (r.eigenvalues, right, left):
+    for arr in (evals, basis, sqw):
         arr.flags.writeable = False
-    return r.eigenvalues, right, left
+    return evals, basis, sqw
 
 
 def _propagate(p: ModelParams, t: float, rows: int | slice) -> np.ndarray:
     """Rows of exp(Q t) (0-based index or slice), clipped to [0, 1].
 
     Assembled from the spectral decomposition as
-    sum_k exp(lambda_k t) (W^(-1/2) u_k)(u_k^T W^(1/2)), so one row costs
-    O(n^2) once the decomposition is cached.
+    W^(-1/2) U exp(Lambda t) U^T W^(1/2), so one row costs O(n^2) once
+    the decomposition is cached.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
-    evals, right, left = _propagator_parts(p)
-    return np.clip((right[rows] * np.exp(evals * t)) @ left.T, 0.0, 1.0)
+    evals, basis, sqw = _propagator_parts(p)
+    return np.clip(
+        (basis[rows] * np.exp(evals * t)) @ basis.T * (sqw / sqw[rows, None]),
+        0.0, 1.0,
+    )
 
 
 def transition_matrix(p: ModelParams, t: float) -> np.ndarray:

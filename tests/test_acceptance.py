@@ -79,20 +79,20 @@ def test_criterion_03_projector_identities():
     for n, lam in grid:
         p = ModelParams(n, lam, 1.0)
         s = symmetrize(p)
-        r = full_decomposition(s)
+        evals, basis = full_decomposition(s)
         sqw = np.exp(0.5 * s.log_weights)
-        right = r.basis / sqw[:, None]
-        left = r.basis * sqw[:, None]
+        right = basis / sqw[:, None]
+        left = basis * sqw[:, None]
         worst_sum = max(worst_sum, np.abs(right @ left.T - np.eye(n)).max())
         # E_i E_j = gram_ij * right_i left_j^T exactly, so its norm is
         # |gram_ij| * ||right_i||_inf * ||left_j||_1
-        gram = r.basis.T @ r.basis
+        gram = basis.T @ basis
         np.fill_diagonal(gram, 0.0)
         pair = np.abs(gram) * np.abs(right).max(axis=0)[:, None] \
             * np.abs(left).sum(axis=0)[None, :]
         worst_pair = max(worst_pair, pair.max())
         q = dense_transient(p)
-        resid = left.T @ q - r.eigenvalues[:, None] * left.T
+        resid = left.T @ q - evals[:, None] * left.T
         scale = np.abs(q).sum(axis=1).max() * np.abs(left).max(axis=0)
         worst_left = max(worst_left, (np.abs(resid).max(axis=1) / scale).max())
     ok = worst_sum <= 1e-8 and worst_pair <= 1e-8 and worst_left <= 1e-8

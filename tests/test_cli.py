@@ -274,6 +274,34 @@ def test_rate_ratio_outside_doubles_is_refused(capsys, command, lam, gamma, r0):
                    f"got {r0} from lambda={float(lam)!r}, gamma={float(gamma)!r}\n")
 
 
+@pytest.mark.parametrize("command", [
+    ("qsd", "--n", "10"),
+    ("compare", "--n-grid", "10,20"),
+    ("simulate", "--n", "10", "--seed", "1", "--t-max", "1"),
+])
+@pytest.mark.parametrize("r0, gamma", [("1e10", "1e300"), ("1e-10", "1e-320")])
+def test_r0_product_outside_doubles_names_the_flags(capsys, command, r0, gamma):
+    # The product r0 * gamma used to be refused as an infection rate of
+    # inf or 0.0, a flag the user never gave.
+    code, out, err = run_cli(capsys, *command, "--r0", r0, "--gamma", gamma)
+    lam = float(r0) * float(gamma)
+    assert code == 1 and out == ""
+    assert err == (f"error: --r0 * --gamma must be a positive finite double, "
+                   f"got {lam!r} from --r0 {float(r0)!r}, --gamma {float(gamma)!r}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ("qsd", "--n", "10"),
+    ("compare", "--n-grid", "10,20"),
+    ("simulate", "--n", "10", "--seed", "1", "--t-max", "1"),
+])
+@pytest.mark.parametrize("r0", ["nan", "inf", "0", "-2"])
+def test_invalid_r0_names_the_flag(capsys, command, r0):
+    code, out, err = run_cli(capsys, *command, "--r0", r0)
+    assert code == 1 and out == ""
+    assert err == f"error: --r0 must be positive and finite, got {float(r0)!r}\n"
+
+
 def test_extinction_time_qsd_far_from_unit_gamma(capsys):
     code, out, _ = run_cli(capsys, "extinction-time", "--n", "10", "--r0", "2",
                            "--gamma", "1e160", "--method", "qsd")

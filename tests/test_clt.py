@@ -77,8 +77,15 @@ def test_variance_closed_form():
     assert variance_at(0.0, p) == 0.0
     assert variance_at(1.0, p) == pytest.approx(0.43233235838169365, rel=1e-12)
     assert variance_at(400.0, ModelParams(10, 5.0, 1.0)) == pytest.approx(0.2, rel=1e-12)
+    assert variance_at(math.inf, ModelParams(10, 4.0, 1.0)) == 0.25
     with pytest.raises(ValueError):
         variance_at(-1.0, p)
+
+
+@pytest.mark.parametrize("t", [math.nan, -math.inf])
+def test_variance_refuses_undefined_times(t):
+    with pytest.raises(ValueError, match="time must be >= 0"):
+        variance_at(t, ModelParams(10, 2.0, 1.0))
 
 
 def test_variance_monotone():
@@ -109,6 +116,13 @@ def test_ode_validation():
         integrate_variance_ode(0.0, p, 100)
     with pytest.raises(ValueError):
         integrate_variance_ode(1.0, p, 9)
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan, -math.inf])
+def test_ode_refuses_non_finite_horizon(t_max):
+    # t_max = inf used to make the step h = inf and return NaN
+    with pytest.raises(ValueError, match="positive and finite"):
+        integrate_variance_ode(t_max, ModelParams(10, 2.0, 1.0), 10)
 
 
 def test_q1_normal_approx_frozen_value():

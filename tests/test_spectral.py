@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,7 @@ from _oracles import (
 )
 from sisq.chain import ModelParams, birth_rate, build_transient_generator, death_rate
 from sisq.spectral import (
-    FULL_DECOMPOSITION_SIZE_CAP,
     ConvergenceError,
-    SizeCapError,
     conditioned_distribution,
     expected_time_qsd,
     full_decomposition,
@@ -57,11 +56,13 @@ def test_symmetrize_diag_unchanged_offdiag_from_rates():
 
 
 # The dense route refuses exactly where a normalized detailed-balance
-# weight underflows; these are its edges at R0 = 2, 5 and 0.5, plus the
-# points the benchmark's edge probe tries.
+# weight underflows; these are its edges at R0 = 2, 5 and 0.5, the points
+# the benchmark's edge probe tries, and sizes past the old n = 4096 cap
+# and past n = 2,025, where the weights span over 745 nats at any R0.
 @pytest.mark.parametrize("n, r0, refused", [
     (1489, 2.0, True), (1488, 2.0, False), (926, 5.0, True), (440, 0.5, True),
     (2000, 2.0, True), (4096, 0.5, True), (4096, 1.05, True),
+    (4097, 2.0, True), (2100, math.e, True),
 ])
 def test_dense_route_refusal_edge(n, r0, refused):
     p = ModelParams(n, r0, 1.0)
@@ -80,7 +81,7 @@ def test_symmetrized_spectrum_equals_dense_spectrum():
     # eps * sqrt(weight span)) and it stops being a 1e-8 reference.
     for n, lam in ((5, 1.0), (20, 3.0), (50, 2.0)):
         p = ModelParams(n, lam, 1.0)
-        got = np.sort(full_decomposition(symmetrize(p)).eigenvalues)
+        got = np.sort(full_decomposition(symmetrize(p))[0])
         want = np.sort(np.linalg.eigvals(dense_transient(p)).real)
         scale = np.abs(dense_transient(p)).sum(axis=1).max()
         assert np.allclose(got, want, rtol=0.0, atol=1e-8 * scale)
@@ -108,10 +109,10 @@ def test_dominant_eigenpair_positive_and_unit():
 
 
 def test_spectral_gap_hand_values_n2():
-    r = full_decomposition(symmetrize(ModelParams(2, 1.0, 1.0)))
-    assert r.eigenvalues[0] == pytest.approx(N2_LAMBDA1, rel=1e-12)
-    assert r.eigenvalues[1] == pytest.approx((-3.5 - math.sqrt(4.25)) / 2.0, rel=1e-12)
-    assert r.eigenvalues[0] > r.eigenvalues[1]
+    evals, _ = full_decomposition(symmetrize(ModelParams(2, 1.0, 1.0)))
+    assert evals[0] == pytest.approx(N2_LAMBDA1, rel=1e-12)
+    assert evals[1] == pytest.approx((-3.5 - math.sqrt(4.25)) / 2.0, rel=1e-12)
+    assert evals[0] > evals[1]
 
 
 def test_qsd_single_state():
@@ -157,9 +158,11 @@ def test_flux_and_lapack_routes_agree():
     for p in (ModelParams(10, 0.5), ModelParams(10, 2.0), ModelParams(30, 1.0, 2.5),
               ModelParams(50, 1.5, 1.0)):
         r = quasi_stationary_distribution(p)
-        lam1, u1 = dominant_eigenpair(symmetrize(p))
+        s = symmetrize(p)
+        lam1, u1 = dominant_eigenpair(s)
         assert r.lambda1 == pytest.approx(lam1, rel=1e-9)
-        q_full = full_decomposition(symmetrize(p)).qsd
+        q_full = u1 * np.exp(0.5 * s.log_weights)
+        q_full /= q_full.sum()
         assert np.allclose(r.qsd, q_full, rtol=1e-9, atol=1e-12)
 
 
@@ -175,30 +178,23 @@ def test_expected_time_qsd_is_negative_reciprocal_eigenvalue():
 
 
 def test_full_decomposition_single_state():
-    r = full_decomposition(symmetrize(ModelParams(1, 1.0, 3.0)))
-    assert r.eigenvalues.tolist() == [-3.0]
-    assert r.qsd.tolist() == [1.0]
+    evals, basis = full_decomposition(symmetrize(ModelParams(1, 1.0, 3.0)))
+    assert evals.tolist() == [-3.0]
+    assert np.abs(basis).tolist() == [[1.0]]
 
 
 def test_full_decomposition_descending_orthonormal():
-    r = full_decomposition(symmetrize(ModelParams(40, 2.0, 1.0)))
-    assert np.all(np.diff(r.eigenvalues) < 0.0)
-    gram = r.basis.T @ r.basis
+    evals, basis = full_decomposition(symmetrize(ModelParams(40, 2.0, 1.0)))
+    assert np.all(np.diff(evals) < 0.0)
+    gram = basis.T @ basis
     assert np.abs(gram - np.eye(40)).max() <= 1e-10
 
 
 def test_full_decomposition_trace_identity():
     p = ModelParams(40, 2.0, 1.0)
     g = build_transient_generator(p)
-    r = full_decomposition(symmetrize(p))
-    assert r.eigenvalues.sum() == pytest.approx(g.diag.sum(), rel=1e-9)
-
-
-def test_full_decomposition_size_cap():
-    # the weights at this size underflow too; the cap is checked first
-    s = symmetrize(ModelParams(FULL_DECOMPOSITION_SIZE_CAP + 1, 2.0))
-    with pytest.raises(SizeCapError):
-        full_decomposition(s)
+    evals, _ = full_decomposition(symmetrize(p))
+    assert evals.sum() == pytest.approx(g.diag.sum(), rel=1e-9)
 
 
 def test_transition_matrix_at_zero_is_identity():
@@ -224,6 +220,24 @@ def test_transition_matrix_bounds_and_domain():
     assert np.all(row_sums > 0.0) and np.all(row_sums < 1.0)
     with pytest.raises(ValueError):
         transition_matrix(p, -1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, -math.inf])
+def test_propagators_refuse_undefined_times(t):
+    # a NaN time used to pass the t < 0 check and return NaN rows
+    p = ModelParams(6, 1.5, 1.0)
+    with pytest.raises(ValueError, match="time must be >= 0"):
+        transition_matrix(p, t)
+    with pytest.raises(ValueError, match="time must be >= 0"):
+        conditioned_distribution(p, t, 1)
+
+
+def test_propagators_at_infinite_time():
+    # exp(Q t) -> 0 is the exact limit; conditioning on survival is not
+    p = ModelParams(6, 1.5, 1.0)
+    assert not transition_matrix(p, math.inf).any()
+    with pytest.raises(ValueError, match="survival probability underflowed"):
+        conditioned_distribution(p, math.inf, 1)
 
 
 def test_transition_probability_scalar_generator():
@@ -265,6 +279,22 @@ def test_single_rows_do_not_assemble_the_matrix(monkeypatch):
     for (p, t, i), row in zip(cases, want):
         got = conditioned_distribution(p, t, i)
         assert np.abs(got - row / row.sum()).max() <= 1e-14
+
+
+def test_cold_row_keeps_one_dense_matrix():
+    # the cache holds the orthonormal basis and O(n) vectors, and building
+    # it never holds more than the eigensolver's output plus a little
+    p = ModelParams(400, 2.0)
+    sisq.spectral._propagator_parts.cache_clear()
+    tracemalloc.start()
+    try:
+        conditioned_distribution(p, 1.0, 1)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n2 = 8 * p.n**2
+    assert retained <= 1.25 * n2
+    assert peak <= 2.5 * n2
 
 
 def test_conditioned_distribution_rows_sum_to_one():
