@@ -21,9 +21,14 @@ full relative accuracy even when |lambda1| is hundreds of orders of
 magnitude below the matrix norm, a regime where any residual-based
 eigensolver returns pure rounding noise.  The full decomposition, needed
 only for propagators and identity checks at modest n, is delegated to
-LAPACK's Sturm-count bisection and inverse iteration.  Its one limit is
-that every normalized detailed-balance weight must be a nonzero double,
-which no n above about 2,030 meets at any R0.
+scipy's eigh_tridiagonal, whose default driver picks LAPACK's
+divide-and-conquer stevd for a full spectrum.  stevd's own n x n
+workspace sits beside the n x n basis it returns, so a cold dense call
+peaks at about 2 n^2 doubles whatever order the propagator is assembled
+in.  The driver is left at scipy's default because another one would
+round every dense row differently.  The route's one limit is that every
+normalized detailed-balance weight must be a nonzero double, which no n
+above about 2,030 meets at any R0.
 """
 
 from __future__ import annotations
@@ -160,8 +165,8 @@ def _log_flux_sum_at_zero(p: ModelParams) -> float:
 
 
 def _flux_sweep(
-    theta: float, upper: list, lower: list, gamma: float, n: int
-) -> tuple[bool, np.ndarray | None, float]:
+    theta: float, upper: list, lower: list, gamma: float, out: np.ndarray | None = None
+) -> tuple[bool, float]:
     """One pass of the telescoped left-eigenvector recurrence.
 
     With v[1] = 1 and S_j the running sum, the recurrence
@@ -170,18 +175,32 @@ def _flux_sweep(
 
     keeps every term nonnegative exactly when theta is at most the true
     decay rate; the sign of the final residual gamma - theta * S_n is the
-    bisection predicate.  Returns (theta_below_true_rate, v, S_n).
+    bisection predicate.  Returns (theta_below_true_rate, S_n), or
+    (False, S_j) as soon as a term leaves (0, inf).
+
+    The loop runs on Python floats (v[j] in a local, the rates as lists),
+    so no numpy scalar enters the arithmetic; both are IEEE doubles
+    rounded to nearest, so the bits are a numpy loop's.  Python's `/`
+    raises on a zero divisor, but d_{j+1} is a death rate, never zero; an
+    overflow still yields inf, which the exit test catches.  No vector is
+    kept unless the caller passes an n-vector `out`, which receives
+    v[1..n] (partly, on an early exit); the solver does that once per
+    solve, at the accepted rate.
     """
-    v = np.empty(n)
-    v[0] = 1.0
+    vn = 1.0
     s = 1.0
-    for k in range(n - 1):
-        vn = (upper[k] * v[k] + gamma - theta * s) / lower[k]
+    if out is not None:
+        out[0] = vn
+    k = 0
+    for b, d in zip(upper, lower):
+        vn = (b * vn + gamma - theta * s) / d
         if not vn > 0.0 or vn == math.inf:
-            return False, None, s
-        v[k + 1] = vn
+            return False, s
         s += vn
-    return gamma - theta * s > 0.0, v, s
+        if out is not None:
+            k += 1
+            out[k] = vn
+    return gamma - theta * s > 0.0, s
 
 
 def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
@@ -189,8 +208,9 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
 
     Two phases.  The first brackets theta* between gamma / 2^k and
     gamma / 2^(k-1) for the smallest k >= 1 whose sweep lies below the
-    rate.  The second bisects that bracket geometrically to _BRACKET_RTOL
-    and polishes theta to gamma / S_n.
+    rate.  The second bisects that bracket geometrically to _BRACKET_RTOL.
+    Neither keeps a sweep's terms: one more sweep at the accepted lower
+    end forms the eigenvector, and theta is polished to gamma / S_n.
 
     The first phase is a binary search over the integer k rather than a
     halving walk down from gamma.  The theta = 0 sweep bounds theta* from
@@ -239,7 +259,7 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
     # Phase 1: smallest k in (k_lo, k_hi] whose sweep is below the rate.
     k_lo = 0
     k_hi = math.ceil(log_s0 / math.log(2.0)) + 1
-    below, v_lo, s_lo = _flux_sweep(math.ldexp(gamma, -k_hi), upper, lower, gamma, n)
+    below, _ = _flux_sweep(math.ldexp(gamma, -k_hi), upper, lower, gamma)
     sweeps = 1
     if not below:
         raise ConvergenceError(
@@ -249,10 +269,10 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
         )
     while k_hi - k_lo > 1:
         k = (k_lo + k_hi) // 2
-        below, v, s = _flux_sweep(math.ldexp(gamma, -k), upper, lower, gamma, n)
+        below, _ = _flux_sweep(math.ldexp(gamma, -k), upper, lower, gamma)
         sweeps += 1
         if below:
-            k_hi, v_lo, s_lo = k, v, s
+            k_hi = k
         else:
             k_lo = k
     lo = math.ldexp(gamma, -k_hi)
@@ -262,9 +282,9 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
         mid = math.sqrt(lo * hi)
         if not lo < mid < hi:
             break
-        below, v, s = _flux_sweep(mid, upper, lower, gamma, n)
+        below, _ = _flux_sweep(mid, upper, lower, gamma)
         if below:
-            lo, v_lo, s_lo = mid, v, s
+            lo = mid
         else:
             hi = mid
         if hi - lo <= _BRACKET_RTOL * hi:
@@ -274,16 +294,20 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
             f"flux bisection did not reach bracket tolerance {_BRACKET_RTOL:g}",
             iterations=sweeps + _MAX_BISECTIONS,
         )
+    # The accepted rate's terms, once: the sweep is deterministic, so this
+    # pass repeats the bits of the one that accepted lo.
+    v = np.empty(n)
+    _, s = _flux_sweep(lo, upper, lower, gamma, v)
     # Polish: at the converged sweep the eigen-identity pins theta to
     # gamma / S_n, which lands inside (lo, theta*] and makes the reported
     # pair satisfy lambda1 = -gamma * qsd[0] to rounding by construction.
-    theta = math.ldexp(gamma / s_lo, m)
+    theta = math.ldexp(gamma / s, m)
     if not theta >= sys.float_info.min:
         raise OverflowError(
             "dominant eigenvalue magnitude underflows the normal double range "
             "at these parameters; the spectral route cannot represent it"
         )
-    return theta, v_lo / s_lo
+    return theta, v / s
 
 
 @lru_cache(maxsize=128)

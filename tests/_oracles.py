@@ -7,9 +7,10 @@ recurrences instead of log-gamma closed forms, LAPACK's stebz/stein
 eigenpair instead of the flux recurrence.  The exceptions are frozen
 copies that pin the library's output bit for bit rather than check it by
 another route: flux_bisection_reference, the flux solver as it stood
-before its halving phase became a binary search; jump_reference and
-run_reference, the Gillespie loops as they stood when each event indexed
-into a block of draws turned into Python lists; and
+before its halving phase became a binary search, with its _flux_sweep,
+the sweep as it stood when it read each term back from a numpy array;
+jump_reference and run_reference, the Gillespie loops as they stood when
+each event indexed into a block of draws turned into Python lists; and
 trajectory_output_reference, the trajectory export as it stood when it
 built the whole file as one string.
 """

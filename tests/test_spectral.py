@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sisq.spectral
 from _oracles import (
+    _flux_sweep,
     _log_flux_sum_at_zero,
     dense_full,
     dense_transient,
@@ -416,6 +417,37 @@ def test_flux_solver_bit_identical_to_reference(n, r0, gamma):
 )
 def test_flux_solver_matches_reference_property(n, r0):
     _assert_flux_matches_reference(n, r0, 1.0)
+
+
+@pytest.mark.parametrize("n, r0, gamma", _FLUX_ORACLE_GRID)
+def test_flux_sweep_matches_frozen_numpy_loop(n, r0, gamma):
+    # the float loop against the numpy-scalar loop it replaced, on the
+    # rates as the solver scales them: theta from the search's low end
+    # gamma / 2^k_hi up to gamma, and within 1e-12 of theta* either side
+    m = math.frexp(gamma)[1] - 1
+    p = ModelParams(n, math.ldexp(r0 * gamma, -m), math.ldexp(gamma, -m))
+    g = build_transient_generator(p)
+    upper, lower = g.upper.tolist(), g.lower.tolist()
+    k_hi = math.ceil(sisq.spectral._log_flux_sum_at_zero(p) / math.log(2.0)) + 1
+    star = -quasi_stationary_distribution(p).lambda1
+    thetas = [math.ldexp(p.gamma, -k_hi) * 2.0 ** (k_hi * i / 14) for i in range(15)]
+    thetas += [star * (1.0 + e) for e in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)]
+    early = 0
+    for theta in thetas:
+        want_below, want_v, want_s = _flux_sweep(theta, upper, lower, p.gamma, n)
+        out = np.empty(n)
+        for below, s in (
+            sisq.spectral._flux_sweep(theta, upper, lower, p.gamma),
+            sisq.spectral._flux_sweep(theta, upper, lower, p.gamma, out),
+        ):
+            assert type(below) is bool and type(s) is float
+            assert below == want_below and s == want_s
+        if want_v is None:
+            early += 1
+        else:
+            assert np.array_equal(out, want_v)
+    # v_2 = (b_1 + gamma - theta) / d_2 > 0 for theta <= gamma
+    assert early > 0 or n <= 2
 
 
 def _count_flux_sweeps(monkeypatch) -> list:
