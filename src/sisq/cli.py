@@ -288,11 +288,13 @@ def _json_pieces(args, tr):
     # json.dumps never uses its C encoder when indent is set, so the
     # columns (never empty: the log starts with the initial row) are
     # spliced in, _CHUNK items at a time, with the layout indent=2 gives
-    # them.  int.__repr__ prints a restart flag True as 1.
+    # them.  States and flags are looked up in tables of their n + 3
+    # possible strings; a restart flag True indexes "1".
+    state_text = [str(state) for state in range(tr.n + 1)]
     yield head[:-2]
     for key, fmt, col in (("time", float.__repr__, tr.times),
-                          ("state", int.__repr__, tr.states),
-                          ("restart_flag", int.__repr__, tr.restart_flags)):
+                          ("state", state_text.__getitem__, tr.states),
+                          ("restart_flag", ["0", "1"].__getitem__, tr.restart_flags)):
         yield f',\n  "{key}": [\n    '
         for i in range(0, col.size, _CHUNK):
             if i:

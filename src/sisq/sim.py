@@ -6,28 +6,28 @@ birth/(birth + death).  No approximation is involved anywhere; these
 trajectories are the empirical oracle the analytic modules are checked
 against.
 
-Two event loops implement this.  `_run` is the recording loop behind
-`simulate` and `simulate_restarted`: it keeps the event log, the
-occupancy clocks and the restart rows, and stops at the horizon, or at
-absorption unless restarts are on.  It keeps the log one draw block at a
-time: the block's rows go to Python lists, which become arrays and are
-cleared when the block ends, and the arrays are joined after the run.  So
-the log peaks near 24 B a row, against 17 B once recorded.
-`_jump` is the lean sampler behind
+Two loops implement this.  `_run` is the recorder behind `simulate` and
+`simulate_restarted`: it keeps the event log, the occupancy clocks and
+the restart rows, and stops at the horizon, or at absorption unless
+restarts are on.  Its Python loop walks only the state path of a draw
+block, one uniform per jump plus a restart row after each absorption;
+numpy then gives the block its clocks (one cumulative sum), its
+occupancy (one `np.add.at`) and the row where the horizon falls (one
+`searchsorted`).  Each of these adds in the order a per-event loop
+would, so every double is the one such a loop computes.  Each block's
+rows are kept as arrays, states at the narrowest integer type that
+holds n, and joined after the run, so the log peaks near 18 B a row
+against 17 B once recorded.  `_jump` is the lean sampler behind
 `conditioned_ensemble` and `extinction_time_samples`: it keeps nothing
 but the state and the clock, and stops at absorption or once the clock
-reaches t_stop (infinite for extinction times).  They stay apart because
-recording costs the samplers time on every event: merged loops carrying
-a recording branch were bit-identical but 1.10-1.22x slower on the
-ensemble (n=1000, R0=5) and 1.10-1.36x slower on extinction times
-(n=20), measured on a 2-core Intel Xeon with Python 3.11 and numpy 2.4.
+reaches t_stop (infinite for extinction times).  It keeps no log, so it
+has no bookkeeping to move out of its loop and stays a plain event loop.
 
 Both loops take their draws a block at a time: one block of exponentials
-and one of uniforms, each wrapped in a memoryview and walked together by
-a single `for e, u in zip(exps, unis)`.  The memoryview hands each double
-out as a Python float only when the loop reaches it, so no index is kept
-and the tail of a block that a run leaves unread is never boxed.  The
-rates of the current state are looked up again only after a jump.
+and one of uniforms.  A loop walks a block through a memoryview (`_run`
+its uniforms, `_jump` both blocks zipped), which hands each double out
+as a Python float only when the loop reaches it, so no index is kept and
+the tail of a block that a run leaves unread is never boxed.
 
 Determinism contract: replicate r of a run seeded with SeedSpec(root)
 draws all of its randomness from a Philox4x64 generator keyed with
@@ -68,16 +68,18 @@ __all__ = [
 
 # Beyond this many logged rows a trajectory keeps simulating but stops
 # recording individual events; occupancy and counters stay exact.  A row
-# costs 17 B in the finished Trajectory.  _run holds list rows for one
-# draw block only and peaks at about 24 B a row while it joins the block
-# arrays (tracemalloc, CPython 3.11, at n = 100 and n = 1000).  So a full
-# log peaks near 0.25 GB and then holds 170 MB; the CLI export adds under
-# 1 MB (one chunk of text) whatever the length.
+# costs 17 B in the finished Trajectory.  _run keeps each draw block's
+# states at the narrowest integer type that holds n and widens them once,
+# at the join, so it peaks at about 18 B a row (tracemalloc, CPython 3.11,
+# at n = 100 and n = 1000).  So a full log peaks near 0.18 GB and then
+# holds 170 MB; the CLI export adds under 1 MB (one chunk of text)
+# whatever the length.
 MAX_LOGGED_EVENTS = 10**7
 
 _BLOCK = 1024
 
-# Refuse extinction sampling whose expected event count exceeds this:
+# Refuse extinction sampling and restarted runs whose expected event
+# count exceeds this:
 # about 40 minutes at the 4.3-4.5M events/s the sampler loop ran (medians
 # of 7 runs at n = 20 and n = 1000) on a 2-core x86-64 host with Python
 # 3.11 and numpy 2.4.
@@ -173,68 +175,77 @@ def _rates(p: ModelParams) -> tuple[list, list]:
 def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
          restarted: bool) -> Trajectory:
     births, totals = _rates(p)
-    # The current block's rows; they move into the parts as arrays when
-    # the block ends.
-    times = [0.0]
-    states = [y0]
-    time_parts = []
-    state_parts = []
-    logged = 0  # rows already moved into the parts
-    state_time = [0.0] * (p.n + 1)
+    total_arr = np.array(totals)
+    narrow = np.min_scalar_type(p.n)
+    # The log, one array per draw block; the initial row is the first.
+    time_parts = [np.zeros(1)]
+    state_parts = [np.array([y0], dtype=narrow)]
+    room = MAX_LOGGED_EVENTS  # rows past the initial one still to log
+    state_time = np.zeros(p.n + 1)
     state = y0
     t = 0.0
     n_events = 0
     n_restarts = 0
     truncated = False
-    cap = MAX_LOGGED_EVENTS + 1
-    birth = births[state]
-    total = totals[state]
     running = True
     while running:
-        room = cap - logged
-        exps = memoryview(gen.standard_exponential(_BLOCK))
-        unis = memoryview(gen.random(_BLOCK))
-        for e, u in zip(exps, unis):
-            wait = e / total
-            if t + wait >= t_max:
-                state_time[state] += t_max - t
-                t = t_max
-                running = False
-                break
-            state_time[state] += wait
-            t += wait
-            state = state + 1 if u * total < birth else state - 1
-            n_events += 1
-            if len(times) < room:
-                times.append(t)
-                states.append(state)
-            else:
-                truncated = True
-            if state == 0:
+        exps = gen.standard_exponential(_BLOCK)
+        # The state path of the block: one row per uniform, plus a restart
+        # row after each absorption.
+        rows = []
+        append = rows.append
+        s = state
+        for u in memoryview(gen.random(_BLOCK)):
+            s = s + 1 if u * totals[s] < births[s] else s - 1
+            append(s)
+            if s == 0:
                 if not restarted:
-                    running = False
                     break
-                n_restarts += 1
-                state = 1
-                n_events += 1
-                if len(times) < room:
-                    times.append(t)
-                    states.append(state)
-                else:
-                    truncated = True
-            birth = births[state]
-            total = totals[state]
-        if times:  # empty past the cap, where the parts must stop growing
-            logged += len(times)
-            time_parts.append(np.array(times))
-            state_parts.append(np.array(states))
-            times.clear()
-            states.clear()
+                s = 1
+                append(1)
+        rows = np.array(rows, dtype=narrow)
+        prev = np.empty_like(rows)
+        prev[0] = state
+        prev[1:] = rows[:-1]
+        # A restart row follows a row at state 0; every other row is a jump
+        # and takes the block's next exponential.  Each wait, clock and
+        # occupancy sum is the double a per-event loop computes: the same
+        # division, and cumsum and add.at add left to right as it does.
+        jump_rows = np.flatnonzero(prev)
+        before = prev[jump_rows]
+        waits = exps[:jump_rows.size] / total_arr[before]
+        clocks = waits.copy()
+        clocks[0] += t
+        np.cumsum(clocks, out=clocks)
+        jumps = int(np.searchsorted(clocks, t_max))  # jumps before the horizon
+        np.add.at(state_time, before[:jumps], waits[:jumps])
+        if jumps < clocks.size:
+            if jumps:
+                t = float(clocks[jumps - 1])
+            state = int(before[jumps])
+            state_time[state] += t_max - t
+            t = t_max
+            end = int(jump_rows[jumps])
+            running = False
+        else:
+            t = float(clocks[-1])
+            state = int(rows[-1])
+            end = rows.size
+            running = state != 0
+        n_events += end
+        n_restarts += end - jumps
+        kept = min(end, room)
+        truncated = truncated or kept < end
+        if kept:
+            room -= kept
+            # A restart row shares the clock of the absorption row before it.
+            time_parts.append(clocks[np.cumsum(prev[:kept] != 0) - 1])
+            state_parts.append(rows[:kept])
     # One column at a time, each freeing its parts, so that the join holds
-    # at most three 8-byte copies of a row.
+    # at most two 8-byte copies of a row.
     times_arr = np.concatenate(time_parts)
     del time_parts
-    states_arr = np.concatenate(state_parts)
+    states_arr = np.concatenate(state_parts, dtype=np.int64)
     del state_parts
     return Trajectory(
         n=p.n,
@@ -244,7 +255,7 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
         # plain runs stop there, and a truncated log is a prefix.
         restart_flags=np.concatenate(([False], states_arr[:-1] == 0)),
         t_end=t,
-        state_time=np.asarray(state_time),
+        state_time=state_time,
         n_events=n_events,
         n_restarts=n_restarts,
         final_state=state,
@@ -279,8 +290,21 @@ def simulate_restarted(p: ModelParams, t_max: float, seed: SeedSpec) -> Trajecto
     Starts at state 1; every absorption is immediately followed by a
     flagged restart row at the same clock reading, so state 0 never
     accumulates occupancy time.
+
+    Every transient state fires events at rate at least gamma and the
+    chain never rests at 0, so gamma * t_max bounds the expected event
+    count from below; a run above _MAX_EXPECTED_EVENTS (1e10) is refused
+    up front.
     """
-    return _run(p, 1, _check_horizon(t_max), seed.generator(), restarted=True)
+    t_max = _check_horizon(t_max)
+    events = p.gamma * t_max
+    if events > _MAX_EXPECTED_EVENTS:
+        raise ValueError(
+            f"a restarted run to t_max={t_max!r} needs at least {events:.3g} expected "
+            f"events (gamma * t_max), beyond the budget of {_MAX_EXPECTED_EVENTS:.0e} "
+            "events; use a shorter horizon"
+        )
+    return _run(p, 1, t_max, seed.generator(), restarted=True)
 
 
 def _jump(births: list, totals: list, state: int, t_stop: float,

@@ -544,7 +544,7 @@ def test_trajectory_output_memory_does_not_grow_with_the_log(fmt, long_run, tmp_
 def test_restarted_command_memory_per_row(tmp_path):
     # Marginal tracemalloc peak of the whole command, run plus export,
     # between two horizons (about 48k and 97k rows): held to the bound of
-    # _run alone, 28 B a row (test_run_memory_per_logged_row).
+    # _run alone, 21 B a row (test_run_memory_per_logged_row).
     rows, peaks = [], []
     for t_max in ("500", "1000"):
         target = tmp_path / f"traj{t_max}.csv"
@@ -559,7 +559,7 @@ def test_restarted_command_memory_per_row(tmp_path):
         with target.open() as f:
             rows.append(sum(1 for _ in f) - 1)
     assert rows[1] - rows[0] > 40_000
-    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 28, (rows, peaks)
+    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 21, (rows, peaks)
 
 
 def test_ensemble_csv_requires_output_path(capsys):
@@ -581,6 +581,20 @@ def test_ensemble_csv_refuses_stdout_before_sampling(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err == ("error: ensemble CSV needs --output so the normal-curve JSON "
                    "sidecar has a destination\n")
+
+
+def test_unbounded_restarted_run_is_refused(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated a run beyond the event budget")
+
+    monkeypatch.setattr(sisq.sim, "_run", refuse)
+    code, out, err = run_cli(capsys, "simulate", "--mode", "restarted", "--n", "10",
+                             "--r0", "2", "--gamma", "2", "--t-max", "1e10",
+                             "--seed", "1")
+    assert code == 1 and out == ""
+    assert err == ("error: a restarted run to t_max=10000000000.0 needs at least 2e+10 "
+                   "expected events (gamma * t_max), beyond the budget of 1e+10 events; "
+                   "use a shorter horizon\n")
 
 
 def test_ensemble_histogram_and_sidecar(tmp_path, capsys):

@@ -228,7 +228,8 @@ def test_run_memory_per_logged_row(restarted, n, y0, horizons):
     # Marginal tracemalloc peak of _run between two horizons, of about
     # 50k and 100k rows.  Keeping the whole log in lists until the end cost
     # 59 B a row at n = 100 (states are cached small ints) and 91 B at
-    # n = 1000; moved into arrays per block it costs about 24 B.
+    # n = 1000; 8-byte block arrays cost about 24 B.  With each block's
+    # states at the narrowest type that holds n it costs about 18 B.
     p = ModelParams(n, 2.0)
     rows, peaks = [], []
     for t_max in horizons:
@@ -240,7 +241,80 @@ def test_run_memory_per_logged_row(restarted, n, y0, horizons):
             tracemalloc.stop()
         rows.append(tr.times.size)
     assert rows[1] - rows[0] > 40_000
-    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 28, (rows, peaks)
+    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 21, (rows, peaks)
+
+
+def _jump_rows(tr: Trajectory) -> np.ndarray:
+    """Log row of each jump, in draw order; the other rows past 0 are restarts."""
+    return np.flatnonzero(tr.states[:-1] != 0) + 1
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+def test_horizon_at_the_first_jump_of_a_block(monkeypatch, block):
+    # The horizon falls after the last jump of the first block and before
+    # the first jump of the second, which meets it with the carried clock.
+    monkeypatch.setattr(sim_module, "_BLOCK", block)
+    p, y0, seed = ModelParams(100, 2.0), 50, 4
+    full = run_reference(p, y0, 1e3, SeedSpec(seed).generator(), False)
+    rows = _jump_rows(full)
+    t_max = (full.times[rows[block - 1]] + full.times[rows[block]]) / 2
+    tr = sim_module._run(p, y0, t_max, SeedSpec(seed).generator(), False)
+    assert (tr.times.size, tr.t_end, tr.final_state) == (block + 1, t_max, full.states[block])
+    _assert_kernels_match_reference(p, seed, "plain", y0, t_max)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+def test_absorption_on_the_last_draw_of_a_block(monkeypatch, block):
+    # The restart row after that absorption ends the block.  The horizon
+    # falls before the next jump, so it also ends the log.
+    monkeypatch.setattr(sim_module, "_BLOCK", block)
+    p, seed = ModelParams(2, 1.0), 9
+    full = run_reference(p, 1, 5e3, SeedSpec(seed).generator(), True)
+    last_draws = _jump_rows(full)[block - 1::block]
+    row = int(last_draws[full.states[last_draws] == 0][0])
+    t_max = (full.times[row] + full.times[row + 2]) / 2
+    tr = sim_module._run(p, 1, t_max, SeedSpec(seed).generator(), True)
+    assert tr.states[-2:].tolist() == [0, 1] and tr.restart_flags[-1]
+    assert (tr.times.size, tr.t_end, tr.final_state) == (row + 2, t_max, 1)
+    _assert_kernels_match_reference(p, seed, "restarted", 1, t_max)
+
+
+@pytest.mark.parametrize("restarted", [False, True])
+def test_horizon_before_the_first_event(restarted):
+    p, y0, t_max = ModelParams(10, 2.0), (1 if restarted else 5), 1e-9
+    tr = sim_module._run(p, y0, t_max, SeedSpec(2).generator(), restarted)
+    assert (tr.times.tolist(), tr.states.tolist(), tr.n_events) == ([0.0], [y0], 0)
+    assert tr.t_end == tr.state_time[y0] == tr.state_time.sum() == t_max
+    _assert_kernels_match_reference(p, 2, "restarted" if restarted else "plain", y0, t_max)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+def test_log_cap_between_absorption_and_restart(monkeypatch, block):
+    # The last logged row is an absorption; its restart row is the first
+    # one dropped.  One such row early in the log and one past 1,500 rows.
+    monkeypatch.setattr(sim_module, "_BLOCK", block)
+    p, t_max, seed = ModelParams(5, 1.5), 1000.0, 1
+    full = run_reference(p, 1, t_max, SeedSpec(seed).generator(), True)
+    absorbed = np.flatnonzero(full.states == 0)
+    for row in (int(absorbed[0]), int(absorbed[absorbed > 1500][0])):
+        monkeypatch.setattr(sim_module, "MAX_LOGGED_EVENTS", row)
+        tr = sim_module._run(p, 1, t_max, SeedSpec(seed).generator(), True)
+        assert tr.log_truncated and tr.times.size == row + 1 and tr.states[-1] == 0
+        assert (tr.n_events, tr.n_restarts) == (full.n_events, full.n_restarts)
+        _assert_kernels_match_reference(p, seed, "restarted", 1, t_max)
+
+
+def test_unbounded_restarted_run_is_refused_before_any_draw(monkeypatch):
+    # Every transient state fires at rate >= gamma and a restart never
+    # rests at 0, so gamma * t_max bounds the expected event count.
+    runs = []
+    monkeypatch.setattr(sim_module, "_run", lambda *args, **kwargs: runs.append(args))
+    for gamma, t_max in ((1.0, 1e11), (4.0, 2.6e9), (1e300, 1e300)):
+        with pytest.raises(ValueError, match=r"gamma \* t_max"):
+            simulate_restarted(ModelParams(5, 2.0, gamma), t_max, SeedSpec(1))
+    assert runs == []
+    simulate_restarted(ModelParams(5, 2.0, 1.0), 1e10, SeedSpec(1))  # at the budget
+    assert len(runs) == 1
 
 
 def test_ensemble_validation():
