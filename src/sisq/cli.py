@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -44,6 +45,8 @@ SCHEMA_VERSION = 1
 # text and row lists take well under 1 MB, below the transient of
 # recording the log (sisq.sim.MAX_LOGGED_EVENTS), so the export never sets
 # the command's peak; 65,536 rows took about 9 MB and exported no faster.
+# A file export of more than one chunk is formatted by two forked helpers
+# (sisq.forkwrite), each streaming its half of the rows this way.
 _CHUNK = 1 << 12
 
 __all__ = ["main"]
@@ -254,54 +257,96 @@ def _cmd_compare(args) -> int:
 
 
 def _trajectory_output(args, tr) -> None:
-    pieces = _csv_pieces(tr) if args.format == "csv" else _json_pieces(args, tr)
-    _write(args.output, pieces)
+    """Write the trajectory export of `tr` to --output.
+
+    A file export of a log longer than one chunk, on a host that can fork
+    and has two CPUs, is formatted by two forked helpers, split at the
+    middle row of the time column; this process only joins their parts,
+    so its peak memory does not rise.  Every other export is formatted
+    here.  The bytes are the same on both paths.
+    """
+    if (args.output != "-" and tr.times.size > _CHUNK
+            and hasattr(os, "fork") and (os.cpu_count() or 1) >= 2):
+        # Imported here so that no other command compiles it.
+        from sisq.forkwrite import write_forked
+
+        mid = tr.times.size // 2
+        write_forked(args.output, [
+            lambda part: _write(part, _trajectory_pieces(args, tr, 0, mid)),
+            lambda part: _write(part, _trajectory_pieces(args, tr, mid, None)),
+        ])
+    else:
+        _write(args.output, _trajectory_pieces(args, tr, 0, None))
 
 
-def _csv_pieces(tr):
+def _trajectory_pieces(args, tr, lo: int, hi: int | None):
+    """Pieces of the export, in output order, from row `lo` of the time
+    column up to row `hi` (None: on to the end of the document).
+
+    The pieces of (0, mid) and then (mid, None) join to the pieces of
+    (0, None) for any mid; chunks are cut at `lo`.
+    """
+    if args.format == "csv":
+        return _csv_pieces(tr, lo, hi)
+    return _json_pieces(args, tr, lo, hi)
+
+
+def _csv_pieces(tr, lo, hi):
     # One string per _CHUNK rows.  Only the times are formatted per row:
     # the 2(n+1) possible suffixes ",state,flag\n" are formatted once and
     # looked up by state + (n+1)*flag.
-    yield "time,state,restart_flag\n"
+    hi = tr.times.size if hi is None else hi
+    if lo == 0:
+        yield "time,state,restart_flag\n"
     width = tr.n + 1
     suffixes = [f",{state},{flag}\n" for flag in (0, 1) for state in range(width)]
-    for i in range(0, tr.times.size, _CHUNK):
-        keys = tr.states[i:i + _CHUNK] + width * tr.restart_flags[i:i + _CHUNK]
+    for i in range(lo, hi, _CHUNK):
+        j = min(i + _CHUNK, hi)
+        keys = tr.states[i:j] + width * tr.restart_flags[i:j]
         cells = [None, None] * keys.size
-        cells[::2] = map(float.__repr__, tr.times[i:i + _CHUNK].tolist())
+        cells[::2] = map(float.__repr__, tr.times[i:j].tolist())
         cells[1::2] = map(suffixes.__getitem__, keys.tolist())
         yield "".join(cells)
 
 
-def _json_pieces(args, tr):
-    head = json.dumps({
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
-        "mode": args.mode,
-        "params": _params_json(_params_from_args(args)),
-        "t_end": tr.t_end,
-        "final_state": tr.final_state,
-        "n_events": tr.n_events,
-        "n_restarts": tr.n_restarts,
-        "log_truncated": tr.log_truncated,
-    }, indent=2)
+def _json_pieces(args, tr, lo, hi):
+    if lo == 0:
+        head = json.dumps({
+            "schema_version": SCHEMA_VERSION,
+            "command": "simulate",
+            "mode": args.mode,
+            "params": _params_json(_params_from_args(args)),
+            "t_end": tr.t_end,
+            "final_state": tr.final_state,
+            "n_events": tr.n_events,
+            "n_restarts": tr.n_restarts,
+            "log_truncated": tr.log_truncated,
+        }, indent=2)
+        yield head[:-2]
     # json.dumps never uses its C encoder when indent is set, so the
     # columns (never empty: the log starts with the initial row) are
     # spliced in, _CHUNK items at a time, with the layout indent=2 gives
     # them.  States and flags are looked up in tables of their n + 3
-    # possible strings; a restart flag True indexes "1".
-    state_text = [str(state) for state in range(tr.n + 1)]
-    yield head[:-2]
-    for key, fmt, col in (("time", float.__repr__, tr.times),
-                          ("state", state_text.__getitem__, tr.states),
-                          ("restart_flag", ["0", "1"].__getitem__, tr.restart_flags)):
-        yield f',\n  "{key}": [\n    '
-        for i in range(0, col.size, _CHUNK):
+    # possible strings; a restart flag True indexes "1".  The time column
+    # runs over rows lo..hi; the other two come whole, and only when hi is
+    # None.
+    size = tr.times.size
+    columns = [("time", float.__repr__, tr.times, lo, size if hi is None else hi)]
+    if hi is None:
+        state_text = [str(state) for state in range(tr.n + 1)]
+        columns += [("state", state_text.__getitem__, tr.states, 0, size),
+                    ("restart_flag", ["0", "1"].__getitem__, tr.restart_flags, 0, size)]
+    for key, fmt, col, a, b in columns:
+        if a == 0:
+            yield f',\n  "{key}": [\n    '
+        for i in range(a, b, _CHUNK):
             if i:
                 yield ",\n    "
-            yield ",\n    ".join(map(fmt, col[i:i + _CHUNK].tolist()))
-        yield "\n  ]"
-    yield "\n}\n"
+            yield ",\n    ".join(map(fmt, col[i:min(i + _CHUNK, b)].tolist()))
+        if b == size:
+            yield "\n  ]"
+    if hi is None:
+        yield "\n}\n"
 
 
 def _cmd_simulate(args) -> int:
@@ -363,6 +408,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+_WORKERS_HELP = ("process count for replicate-level parallelism only (results "
+                 "unchanged); trajectory exports do not read it")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sisq",
@@ -389,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--seed", type=int, help="root seed (simulate method)")
     sp.add_argument("--replicates", type=_positive_int, default=10000)
-    sp.add_argument("--workers", type=_positive_int, default=1)
+    sp.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     sp.set_defaults(fn=_cmd_extinction_time)
 
     sp = sub.add_parser("compare", help="qsd vs clt over an n-grid")
@@ -408,18 +457,29 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-max", type=float, required=True,
                     help="horizon (trajectory modes) or snapshot time (ensemble)")
     sp.add_argument("--replicates", type=_positive_int, default=10000)
-    sp.add_argument("--workers", type=_positive_int, default=1,
-                    help="replicate-parallel process count (results unchanged)")
+    sp.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     sp.set_defaults(fn=_cmd_simulate)
 
     return ap
 
 
+def _check_output(path: str) -> None:
+    """Refuse an --output file that cannot be created, before any computation."""
+    if path == "-":
+        return
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise ValueError(f"--output {path}: directory {target.parent} does not exist")
+    if target.is_dir():
+        raise ValueError(f"--output {path} is a directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_output(args.output)
         return args.fn(args)
-    except (ValueError, OverflowError, RuntimeError) as exc:
+    except (OSError, ValueError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -6,6 +7,7 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -19,6 +21,7 @@ import sisq
 import sisq.chain
 import sisq.cli
 import sisq.clt
+import sisq.forkwrite
 import sisq.sim
 import sisq.spectral
 import sisq.stationary
@@ -482,10 +485,31 @@ def test_trajectory_output_bytes_are_pinned(case, fmt, tmp_path, capsys, monkeyp
     assert (1 in flags) is (case in ("restarted", "truncated"))
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@pytest.fixture
+def forks(monkeypatch):
+    """Processes forked during the test, with two CPUs reported on any host,
+    so that a file export of more than one chunk takes the helper path."""
+    calls = []
+    fork = os.fork
+
+    def counted_fork():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls
+
+
+# Rows of the cases: restarted 371, plain 34, one_row 1, truncated 6.  A
+# file export of more rows than _CHUNK runs on two helpers split at row
+# rows // 2, which lies on a chunk boundary at chunk 1, at 5 (restarted),
+# at 17 (plain) and at 3 (truncated), and inside a chunk at every other
+# size that splits; one_row and truncated at 7 or 17 stay serial.
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 17])
 @pytest.mark.parametrize("case,fmt", sorted(_TRAJECTORY_SHA256))
 def test_trajectory_output_bytes_hold_across_chunk_sizes(case, fmt, chunk, tmp_path,
-                                                         capsys, monkeypatch):
+                                                         capsys, monkeypatch, forks):
     monkeypatch.setattr(sisq.cli, "_CHUNK", chunk)
     flags, cap = _TRAJECTORY_CASES[case]
     if cap is not None:
@@ -493,8 +517,12 @@ def test_trajectory_output_bytes_hold_across_chunk_sizes(case, fmt, chunk, tmp_p
     argv = ("simulate", *flags, "--format", fmt)
     target = tmp_path / f"traj.{fmt}"
     assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+    rows = {"restarted": 371, "plain": 34, "one_row": 1, "truncated": 6}[case]
+    assert len(forks) == (2 if rows > chunk else 0)
     assert run_cli(capsys, *argv, "--output", "-") == (0, target.read_text(), "")
+    assert len(forks) == (2 if rows > chunk else 0)
     assert hashlib.sha256(target.read_bytes()).hexdigest() == _TRAJECTORY_SHA256[case, fmt]
+    assert os.listdir(tmp_path) == [target.name]
 
 
 # About 255k rows, so that the export runs over several chunks.
@@ -510,10 +538,11 @@ def long_run():
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_long_trajectory_output_matches_reference(fmt, long_run, tmp_path, capsys):
+def test_long_trajectory_output_matches_reference(fmt, long_run, tmp_path, capsys, forks):
     assert long_run.times.size > 2 * sisq.cli._CHUNK
     argv = (*_LONG_RUN, "--format", fmt, "--output", str(tmp_path / "traj"))
     assert run_cli(capsys, *argv) == (0, "", "")
+    assert len(forks) == 2
     args = sisq.cli._build_parser().parse_args(argv)
     assert (tmp_path / "traj").read_text() == trajectory_output_reference(args, long_run)
 
@@ -521,11 +550,12 @@ def test_long_trajectory_output_matches_reference(fmt, long_run, tmp_path, capsy
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_trajectory_output_memory_does_not_grow_with_the_log(fmt, long_run, tmp_path):
     # Peak allocation of the export of the first 70k and 140k rows, both
-    # past the first chunk: the second 70k may add at most 16 B a row.
-    # Building the whole file as one string cost 151 B (CSV) and 163 B
-    # (JSON) a row.
-    args = sisq.cli._build_parser().parse_args(
-        (*_LONG_RUN, "--format", fmt, "--output", str(tmp_path / "traj")))
+    # past the first chunk, run through the range formatter as the two
+    # export helpers run it (rows 0..mid, then mid to the end): the second
+    # 70k may add at most 16 B a row.  Building the whole file as one
+    # string cost 151 B (CSV) and 163 B (JSON) a row.
+    args = sisq.cli._build_parser().parse_args((*_LONG_RUN, "--format", fmt))
+    target = str(tmp_path / "traj")
     sizes = (70_000, 140_000)
     peaks = []
     for rows in sizes:
@@ -534,7 +564,8 @@ def test_trajectory_output_memory_does_not_grow_with_the_log(fmt, long_run, tmp_
                                  restart_flags=long_run.restart_flags[:rows])
         tracemalloc.start()
         try:
-            sisq.cli._trajectory_output(args, tr)
+            for lo, hi in ((0, rows // 2), (rows // 2, None)):
+                sisq.cli._write(target, sisq.cli._trajectory_pieces(args, tr, lo, hi))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -544,7 +575,10 @@ def test_trajectory_output_memory_does_not_grow_with_the_log(fmt, long_run, tmp_
 def test_restarted_command_memory_per_row(tmp_path):
     # Marginal tracemalloc peak of the whole command, run plus export,
     # between two horizons (about 48k and 97k rows): held to the bound of
-    # _run alone, 21 B a row (test_run_memory_per_logged_row).
+    # _run alone, 21 B a row (test_run_memory_per_logged_row).  With two
+    # CPUs the export is formatted in helper processes, which tracemalloc
+    # does not see; test_trajectory_output_memory_does_not_grow_with_the_log
+    # holds their formatter to its own bound.
     rows, peaks = [], []
     for t_max in ("500", "1000"):
         target = tmp_path / f"traj{t_max}.csv"
@@ -595,6 +629,80 @@ def test_unbounded_restarted_run_is_refused(capsys, monkeypatch):
     assert err == ("error: a restarted run to t_max=10000000000.0 needs at least 2e+10 "
                    "expected events (gamma * t_max), beyond the budget of 1e+10 events; "
                    "use a shorter horizon\n")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the test, rather than hang, if the block runs past `seconds`."""
+    def expire(signum, frame):
+        pytest.fail(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("first, second", [("raise", "hang"), ("write", "raise")])
+def test_failed_export_helper_leaves_no_part_and_no_child(first, second, tmp_path,
+                                                          capsys, monkeypatch, forks):
+    # A helper that raises fails the command with error:, the other helper
+    # is killed if it still runs, and no part file, output or child remains.
+    pieces = sisq.cli._trajectory_pieces
+
+    def helper_pieces(args, tr, lo, hi):
+        action = first if lo == 0 else second
+        if action == "raise":
+            raise OSError(28, "No space left on device")
+        if action == "hang":
+            time.sleep(60)
+        return pieces(args, tr, lo, hi)
+
+    monkeypatch.setattr(sisq.cli, "_trajectory_pieces", helper_pieces)
+    monkeypatch.setattr(sisq.cli, "_CHUNK", 64)
+    target = tmp_path / "traj.csv"
+    with _deadline(30):
+        code, out, err = run_cli(capsys, "simulate", "--mode", "restarted", "--n", "10",
+                                 "--r0", "2", "--t-max", "50", "--seed", "1",
+                                 "--output", str(target))
+    assert len(forks) == 2
+    assert code == 1 and out == ""
+    assert err.startswith("error: export helper") and "exit status 1" in err
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_missing_output_directory_is_refused_before_any_run(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before the output directory was checked")
+
+    monkeypatch.setattr(sisq.sim, "_run", refuse)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "simulate", "--mode", "restarted", "--n", "100",
+                             "--r0", "2", "--t-max", "5e3", "--seed", "1",
+                             "--output", str(target))
+    assert code == 1 and out == ""
+    assert err == f"error: --output {target}: directory {target.parent} does not exist\n"
+    code, _, err = run_cli(capsys, "simulate", "--mode", "restarted", "--n", "100",
+                           "--r0", "2", "--t-max", "5e3", "--seed", "1",
+                           "--output", str(tmp_path))
+    assert code == 1 and err == f"error: --output {tmp_path} is a directory\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_write_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):
+    def disk_full(path, pieces):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sisq.cli, "_write", disk_full)
+    code, out, err = run_cli(capsys, "stationary", "--n", "10", "--r0", "2",
+                             "--output", str(tmp_path / "pi.csv"))
+    assert code == 1 and out == ""
+    assert err == "error: [Errno 28] No space left on device\n"
 
 
 def test_ensemble_histogram_and_sidecar(tmp_path, capsys):
@@ -673,7 +781,8 @@ def test_readme_library_quickstart_runs(capsys):
 
 
 def test_each_public_name_is_listed_once():
-    mods = (sisq.chain, sisq.stationary, sisq.spectral, sisq.clt, sisq.sim, sisq.cli)
+    mods = (sisq.chain, sisq.stationary, sisq.spectral, sisq.clt, sisq.sim, sisq.cli,
+            sisq.forkwrite)
     names = [name for mod in mods for name in mod.__all__]
     assert len(names) == len(set(names))
     assert all(hasattr(mod, name) for mod in mods for name in mod.__all__)
@@ -711,7 +820,8 @@ def _system_identifiers() -> set:
 def test_every_public_name_has_a_system_user():
     # an export that only its own unit tests call belongs under tests/
     used = _system_identifiers()
-    mods = (sisq.chain, sisq.stationary, sisq.spectral, sisq.clt, sisq.sim, sisq.cli)
+    mods = (sisq.chain, sisq.stationary, sisq.spectral, sisq.clt, sisq.sim, sisq.cli,
+            sisq.forkwrite)
     unused = [f"{mod.__name__}.{name}" for mod in mods for name in mod.__all__
               if name not in used]
     assert not unused
