@@ -12,8 +12,7 @@ against one another:
 - ``sim``: exact event-driven simulation used as the empirical oracle.
 
 ``chain`` holds the model definition shared by all of them, and ``cli``
-exposes everything as a command-line tool; ``forkwrite`` writes its long
-trajectory exports on two forked helper processes.  Public names are imported
+exposes everything as a command-line tool.  Public names are imported
 from these submodules; the package root carries only ``__version__``.
 """
 

@@ -21,7 +21,9 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +47,20 @@ SCHEMA_VERSION = 1
 # text and row lists take well under 1 MB, below the transient of
 # recording the log (sisq.sim.MAX_LOGGED_EVENTS), so the export never sets
 # the command's peak; 65,536 rows took about 9 MB and exported no faster.
-# A file export of more than one chunk is formatted by two forked helpers
-# (sisq.forkwrite), each streaming its half of the rows this way.
+# The two forked helpers of a long file export (_FORK_MIN_ROWS) each
+# stream their half of the rows this way.
 _CHUNK = 1 << 12
+
+# Rows from which a file export is formatted by two forked helpers, one
+# for each half of the rows, instead of in the command's own process.
+# The two forks cost about 10 ms on a 2-core x86-64 host, so in-process
+# medians of a restarted n = 100 log put the break-even at 20k-24k rows
+# (CSV and JSON); from 32k rows the helpers won every time (0.83-0.95x
+# the serial time), and at 490k rows they took 0.60x (CSV), 0.70x (JSON).
+_FORK_MIN_ROWS = 1 << 15
+
+# Bytes per read when the second helper's half is appended to the output.
+_COPY_BLOCK = 1 << 16
 
 __all__ = ["main"]
 
@@ -259,24 +272,69 @@ def _cmd_compare(args) -> int:
 def _trajectory_output(args, tr) -> None:
     """Write the trajectory export of `tr` to --output.
 
-    A file export of a log longer than one chunk, on a host that can fork
-    and has two CPUs, is formatted by two forked helpers, split at the
-    middle row of the time column; this process only joins their parts,
-    so its peak memory does not rise.  Every other export is formatted
+    A file export of at least _FORK_MIN_ROWS rows, on a host that can fork
+    and has two CPUs, is formatted by two forked helpers split at the
+    middle row of the time column: the first writes straight into
+    --output, the second into an anonymous temporary file that this
+    process then appends.  This process formats nothing there, so its
+    peak memory does not rise, and no file is made beside --output, so
+    any --output the serial path can write (a FIFO, /dev/stdout, a file
+    in a read-only directory) works.  Every other export is formatted
     here.  The bytes are the same on both paths.
     """
-    if (args.output != "-" and tr.times.size > _CHUNK
-            and hasattr(os, "fork") and (os.cpu_count() or 1) >= 2):
-        # Imported here so that no other command compiles it.
-        from sisq.forkwrite import write_forked
-
-        mid = tr.times.size // 2
-        write_forked(args.output, [
-            lambda part: _write(part, _trajectory_pieces(args, tr, 0, mid)),
-            lambda part: _write(part, _trajectory_pieces(args, tr, mid, None)),
-        ])
-    else:
+    if (args.output == "-" or tr.times.size < _FORK_MIN_ROWS
+            or not hasattr(os, "fork") or (os.cpu_count() or 1) < 2):
         _write(args.output, _trajectory_pieces(args, tr, 0, None))
+        return
+    mid = tr.times.size // 2
+    with open(args.output, "wb") as out, tempfile.TemporaryFile() as spill:
+        _write_forked([(out, lambda: _trajectory_pieces(args, tr, 0, mid)),
+                       (spill, lambda: _trajectory_pieces(args, tr, mid, None))])
+        spill.seek(0)
+        while block := spill.read(_COPY_BLOCK):
+            out.write(block)
+
+
+def _write_forked(jobs) -> None:
+    """For each (file, pieces) job, write the strings of pieces() to the
+    open binary `file` in a helper forked for it, and wait for them all.
+
+    A helper leaves only through os._exit, so it runs none of this
+    process's cleanup.  Helpers are reaped in the order they finish; the
+    first nonzero exit status raises RuntimeError, and any helper still
+    running then is killed and reaped.
+    """
+    pending = set()
+    try:
+        for file, pieces in jobs:
+            pid = os.fork()
+            if pid == 0:
+                _helper(file, pieces)
+            pending.add(pid)
+        while pending:
+            pid, status = os.waitpid(-1, 0)
+            if pid in pending:
+                pending.remove(pid)
+                code = os.waitstatus_to_exitcode(status)
+                if code:
+                    raise RuntimeError(f"export helper failed (exit status {code})")
+    finally:
+        for pid in pending:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _helper(file, pieces):
+    """Body of a forked export helper: write pieces() to `file`, then os._exit."""
+    code = 1
+    try:
+        with open(file.fileno(), "w", closefd=False) as f:
+            f.writelines(pieces())
+        code = 0
+    except Exception as exc:
+        os.write(2, f"error: export helper: {exc}\n".encode())
+    finally:
+        os._exit(code)
 
 
 def _trajectory_pieces(args, tr, lo: int, hi: int | None):

@@ -21,7 +21,6 @@ import sisq
 import sisq.chain
 import sisq.cli
 import sisq.clt
-import sisq.forkwrite
 import sisq.sim
 import sisq.spectral
 import sisq.stationary
@@ -487,8 +486,9 @@ def test_trajectory_output_bytes_are_pinned(case, fmt, tmp_path, capsys, monkeyp
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Processes forked during the test, with two CPUs reported on any host,
-    so that a file export of more than one chunk takes the helper path."""
+    """Processes forked during the test, with two CPUs reported on any host
+    and the helper threshold at two rows, so that a file export of two
+    rows or more takes the helper path."""
     calls = []
     fork = os.fork
 
@@ -497,15 +497,16 @@ def forks(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sisq.cli, "_FORK_MIN_ROWS", 2)
     monkeypatch.setattr(os, "fork", counted_fork)
     return calls
 
 
 # Rows of the cases: restarted 371, plain 34, one_row 1, truncated 6.  A
-# file export of more rows than _CHUNK runs on two helpers split at row
+# file export of two rows or more runs on two helpers split at row
 # rows // 2, which lies on a chunk boundary at chunk 1, at 5 (restarted),
 # at 17 (plain) and at 3 (truncated), and inside a chunk at every other
-# size that splits; one_row and truncated at 7 or 17 stay serial.
+# size; one_row stays serial.
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 17])
 @pytest.mark.parametrize("case,fmt", sorted(_TRAJECTORY_SHA256))
 def test_trajectory_output_bytes_hold_across_chunk_sizes(case, fmt, chunk, tmp_path,
@@ -517,10 +518,9 @@ def test_trajectory_output_bytes_hold_across_chunk_sizes(case, fmt, chunk, tmp_p
     argv = ("simulate", *flags, "--format", fmt)
     target = tmp_path / f"traj.{fmt}"
     assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
-    rows = {"restarted": 371, "plain": 34, "one_row": 1, "truncated": 6}[case]
-    assert len(forks) == (2 if rows > chunk else 0)
+    assert len(forks) == (0 if case == "one_row" else 2)
     assert run_cli(capsys, *argv, "--output", "-") == (0, target.read_text(), "")
-    assert len(forks) == (2 if rows > chunk else 0)
+    assert len(forks) == (0 if case == "one_row" else 2)
     assert hashlib.sha256(target.read_bytes()).hexdigest() == _TRAJECTORY_SHA256[case, fmt]
     assert os.listdir(tmp_path) == [target.name]
 
@@ -646,11 +646,13 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("first, second", [("raise", "hang"), ("write", "raise")])
+@pytest.mark.parametrize("first, second",
+                         [("raise", "hang"), ("hang", "raise"), ("write", "raise")])
 def test_failed_export_helper_leaves_no_part_and_no_child(first, second, tmp_path,
                                                           capsys, monkeypatch, forks):
-    # A helper that raises fails the command with error:, the other helper
-    # is killed if it still runs, and no part file, output or child remains.
+    # A helper that raises fails the command with error:, as soon as it
+    # exits, whichever helper it is; the other helper is killed if it
+    # still runs, and no file but the output and no child remains.
     pieces = sisq.cli._trajectory_pieces
 
     def helper_pieces(args, tr, lo, hi):
@@ -662,7 +664,6 @@ def test_failed_export_helper_leaves_no_part_and_no_child(first, second, tmp_pat
         return pieces(args, tr, lo, hi)
 
     monkeypatch.setattr(sisq.cli, "_trajectory_pieces", helper_pieces)
-    monkeypatch.setattr(sisq.cli, "_CHUNK", 64)
     target = tmp_path / "traj.csv"
     with _deadline(30):
         code, out, err = run_cli(capsys, "simulate", "--mode", "restarted", "--n", "10",
@@ -670,10 +671,51 @@ def test_failed_export_helper_leaves_no_part_and_no_child(first, second, tmp_pat
                                  "--output", str(target))
     assert len(forks) == 2
     assert code == 1 and out == ""
-    assert err.startswith("error: export helper") and "exit status 1" in err
-    assert os.listdir(tmp_path) == []
+    assert err == "error: export helper failed (exit status 1)\n"
+    assert os.listdir(tmp_path) == [target.name]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", ["fifo", "pipe_fd"])
+def test_helper_export_makes_no_file_beside_the_output(kind, fmt, tmp_path, capsys, forks):
+    # Any output the serial path can write gets the serial bytes from the
+    # helpers: a FIFO in a directory that takes no new file (for any user
+    # but root), and /dev/fd/N of a pipe, as a shell passes >(gzip > x.gz),
+    # beside which no one can make a file.
+    argv = ("simulate", *_TRAJECTORY_CASES["restarted"][0], "--format", fmt)
+    if kind == "fifo":
+        target = tmp_path / "out"
+        os.mkfifo(target)
+        tmp_path.chmod(0o555)
+        reader = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdout.buffer."
+                                   "write(open(sys.argv[1], 'rb').read())", str(target)],
+                                  stdout=subprocess.PIPE)
+        try:
+            with _deadline(30):
+                code = main([*argv, "--output", str(target)])
+            data, _ = reader.communicate(timeout=30)
+            assert reader.returncode == 0
+            assert os.listdir(tmp_path) == [target.name]
+        finally:
+            reader.kill()
+            reader.wait(timeout=30)
+            tmp_path.chmod(0o755)
+    else:
+        # The export (under 16 KB) fits in the pipe's buffer, so no reader
+        # need run while the command writes.
+        r, w = os.pipe()
+        with open(r, "rb") as reader:
+            try:
+                with _deadline(30):
+                    code = main([*argv, "--output", f"/dev/fd/{w}"])
+            finally:
+                os.close(w)
+            data = reader.read()
+    assert code == 0 and len(forks) == 2
+    assert run_cli(capsys, *argv, "--output", "-") == (0, data.decode(), "")
+    assert hashlib.sha256(data).hexdigest() == _TRAJECTORY_SHA256["restarted", fmt]
 
 
 def test_missing_output_directory_is_refused_before_any_run(tmp_path, capsys, monkeypatch):
@@ -781,8 +823,7 @@ def test_readme_library_quickstart_runs(capsys):
 
 
 def test_each_public_name_is_listed_once():
-    mods = (sisq.chain, sisq.stationary, sisq.spectral, sisq.clt, sisq.sim, sisq.cli,
-            sisq.forkwrite)
+    mods = (sisq.chain, sisq.stationary, sisq.spectral, sisq.clt, sisq.sim, sisq.cli)
     names = [name for mod in mods for name in mod.__all__]
     assert len(names) == len(set(names))
     assert all(hasattr(mod, name) for mod in mods for name in mod.__all__)
@@ -820,8 +861,7 @@ def _system_identifiers() -> set:
 def test_every_public_name_has_a_system_user():
     # an export that only its own unit tests call belongs under tests/
     used = _system_identifiers()
-    mods = (sisq.chain, sisq.stationary, sisq.spectral, sisq.clt, sisq.sim, sisq.cli,
-            sisq.forkwrite)
+    mods = (sisq.chain, sisq.stationary, sisq.spectral, sisq.clt, sisq.sim, sisq.cli)
     unused = [f"{mod.__name__}.{name}" for mod in mods for name in mod.__all__
               if name not in used]
     assert not unused
