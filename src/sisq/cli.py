@@ -43,21 +43,28 @@ from sisq.stationary import log_expected_extinction_time, stationary_distributio
 SCHEMA_VERSION = 1
 
 # Rows a trajectory export formats and writes at a time, so that it holds
-# one chunk of text, never the whole event log.  At 4,096 rows a chunk's
-# text and row lists take well under 1 MB, below the transient of
-# recording the log (sisq.sim.MAX_LOGGED_EVENTS), so the export never sets
-# the command's peak; 65,536 rows took about 9 MB and exported no faster.
-# The two forked helpers of a long file export (_FORK_MIN_ROWS) each
-# stream their half of the rows this way.
-_CHUNK = 1 << 12
+# one chunk of text, never the whole event log.  At 16,384 rows a chunk's
+# text and numpy temporaries take about 2.5 MB (0.65 MB at 4,096, 9.8 MB
+# at 65,536), and serial exports of a 487,620-row restarted n = 100 log
+# took 108 ms (CSV) and 130 ms (JSON), against 140/170 ms at 4,096 rows,
+# 108/136 at 8,192, 127/148 at 32,768 and 145/181 at 65,536 (medians of
+# 11 alternating runs, 2-core x86-64 host).  The two forked helpers of a
+# long file export (_FORK_MIN_ROWS) each stream their half of the rows
+# this way.
+_CHUNK = 1 << 14
 
 # Rows from which a file export is formatted by two forked helpers, one
 # for each half of the rows, instead of in the command's own process.
-# The two forks cost about 10 ms on a 2-core x86-64 host, so in-process
-# medians of a restarted n = 100 log put the break-even at 20k-24k rows
-# (CSV and JSON); from 32k rows the helpers won every time (0.83-0.95x
-# the serial time), and at 490k rows they took 0.60x (CSV), 0.70x (JSON).
-_FORK_MIN_ROWS = 1 << 15
+# Their fixed cost (two forks, the copy of the second half, cold first
+# chunks: about 12 ms) put the break-even at 98k-131k rows of a restarted
+# n = 100 log, CSV and JSON alike (medians of 21 alternating calls of
+# _trajectory_output, 2-core x86-64 host): from 131,072 rows the helpers
+# took 0.91-0.97x the serial time, 0.91-0.93x at 196,608 rows and
+# 0.71x (CSV), 0.74x (JSON) at 487,620.  They also keep a long export's
+# chunk temporaries out of the command's peak memory, which stays that of
+# the simulation; formatted here, the benchmark's three trajectory
+# exports raised it by about 2.2 MB.
+_FORK_MIN_ROWS = 1 << 17
 
 # Bytes per read when the second helper's half is appended to the output.
 _COPY_BLOCK = 1 << 16
@@ -282,6 +289,10 @@ def _trajectory_output(args, tr) -> None:
     in a read-only directory) works.  Every other export is formatted
     here.  The bytes are the same on both paths.
     """
+    # The text formatter is imported here, not with this module, so that
+    # the other commands load no more code; and before any fork, so that
+    # the helpers inherit it instead of each importing it.
+    from sisq import _shortrepr
     if (args.output == "-" or tr.times.size < _FORK_MIN_ROWS
             or not hasattr(os, "fork") or (os.cpu_count() or 1) < 2):
         _write(args.output, _trajectory_pieces(args, tr, 0, None))
@@ -350,24 +361,25 @@ def _trajectory_pieces(args, tr, lo: int, hi: int | None):
 
 
 def _csv_pieces(tr, lo, hi):
-    # One string per _CHUNK rows.  Only the times are formatted per row:
-    # the 2(n+1) possible suffixes ",state,flag\n" are formatted once and
-    # looked up by state + (n+1)*flag.
+    # One string per _CHUNK rows, each row's time followed by the suffix
+    # ",state,flag\n" that entry state + (n+1)*flag of a table holds.
+    from sisq import _shortrepr
+
     hi = tr.times.size if hi is None else hi
     if lo == 0:
         yield "time,state,restart_flag\n"
     width = tr.n + 1
-    suffixes = [f",{state},{flag}\n" for flag in (0, 1) for state in range(width)]
+    table = _shortrepr.byte_table([f",{state},{flag}\n" for flag in (0, 1)
+                                   for state in range(width)])
     for i in range(lo, hi, _CHUNK):
         j = min(i + _CHUNK, hi)
-        keys = tr.states[i:j] + width * tr.restart_flags[i:j]
-        cells = [None, None] * keys.size
-        cells[::2] = map(float.__repr__, tr.times[i:j].tolist())
-        cells[1::2] = map(suffixes.__getitem__, keys.tolist())
-        yield "".join(cells)
+        keys = tr.states[i:j] + np.int64(width) * tr.restart_flags[i:j]
+        yield _shortrepr.time_text(tr.times[i:j], keys, table)
 
 
 def _json_pieces(args, tr, lo, hi):
+    from sisq import _shortrepr
+
     if lo == 0:
         head = json.dumps({
             "schema_version": SCHEMA_VERSION,
@@ -384,23 +396,28 @@ def _json_pieces(args, tr, lo, hi):
     # json.dumps never uses its C encoder when indent is set, so the
     # columns (never empty: the log starts with the initial row) are
     # spliced in, _CHUNK items at a time, with the layout indent=2 gives
-    # them.  States and flags are looked up in tables of their n + 3
-    # possible strings; a restart flag True indexes "1".  The time column
-    # runs over rows lo..hi; the other two come whole, and only when hi is
-    # None.
+    # them.  Every item but a column's last is followed by ",\n    ": key
+    # v (a state, a flag, 0 for a time) picks entry v of its column's
+    # table, and on the last row entry v + len(items), the item alone.
+    # The time column runs over rows lo..hi; the other two come whole, and
+    # only when hi is None.
     size = tr.times.size
-    columns = [("time", float.__repr__, tr.times, lo, size if hi is None else hi)]
+    columns = [("time", lo, size if hi is None else hi, [""],
+                np.broadcast_to(np.intp(0), size))]
     if hi is None:
-        state_text = [str(state) for state in range(tr.n + 1)]
-        columns += [("state", state_text.__getitem__, tr.states, 0, size),
-                    ("restart_flag", ["0", "1"].__getitem__, tr.restart_flags, 0, size)]
-    for key, fmt, col, a, b in columns:
+        columns += [("state", 0, size, [str(state) for state in range(tr.n + 1)], tr.states),
+                    ("restart_flag", 0, size, ["0", "1"], tr.restart_flags)]
+    for key, a, b, items, values in columns:
         if a == 0:
             yield f',\n  "{key}": [\n    '
+        table = _shortrepr.byte_table([item + ",\n    " for item in items] + items)
         for i in range(a, b, _CHUNK):
-            if i:
-                yield ",\n    "
-            yield ",\n    ".join(map(fmt, col[i:min(i + _CHUNK, b)].tolist()))
+            j = min(i + _CHUNK, b)
+            keys = values[i:j].astype(np.intp)
+            if j == size:
+                keys[-1] += len(items)
+            yield (_shortrepr.time_text(tr.times[i:j], keys, table) if key == "time"
+                   else _shortrepr.keyed_text(keys, table))
         if b == size:
             yield "\n  ]"
     if hi is None:

@@ -525,6 +525,37 @@ def test_trajectory_output_bytes_hold_across_chunk_sizes(case, fmt, chunk, tmp_p
     assert os.listdir(tmp_path) == [target.name]
 
 
+# Times that take both paths of the time formatter: +0.0 and 0.1, 0.75,
+# 1.3 and 2**52 + 1 are computed; 3e-05 (below 1e-4), 0.5 and 2**52
+# (powers of two), and 2**53 and up go to repr.  With chunks of 1, 2, 3
+# and 5 rows, and the helpers' split at row 6, repr rows fall at the start
+# and at the end of chunks and of halves.
+_MIXED_TIMES = (0.0, 3e-05, 0.1, 0.5, 0.75, 1.3, 2.0 ** 52, 2.0 ** 52 + 1,
+                2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 60, 1.5 * 2.0 ** 60)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+@pytest.mark.parametrize("helpers", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mixed_computed_and_repr_times_export_as_reference(fmt, helpers, chunk, tmp_path,
+                                                           monkeypatch, forks):
+    monkeypatch.setattr(sisq.cli, "_CHUNK", chunk)
+    if not helpers:
+        monkeypatch.setattr(sisq.cli, "_FORK_MIN_ROWS", len(_MIXED_TIMES) + 1)
+    tr = sisq.sim.Trajectory(
+        n=10, times=_MIXED_TIMES, states=[1, 2, 1, 0, 1, 2, 3, 2, 1, 0, 1, 2],
+        restart_flags=[False] * 4 + [True] + [False] * 5 + [True, False],
+        t_end=2.0 ** 61, state_time=[0.0] * 11, n_events=11, n_restarts=2,
+        final_state=2, log_truncated=False)
+    target = tmp_path / f"traj.{fmt}"
+    args = sisq.cli._build_parser().parse_args(
+        ("simulate", "--mode", "restarted", "--n", "10", "--r0", "2", "--t-max", "1e20",
+         "--seed", "1", "--format", fmt, "--output", str(target)))
+    sisq.cli._trajectory_output(args, tr)
+    assert len(forks) == (2 if helpers else 0)
+    assert target.read_text() == trajectory_output_reference(args, tr)
+
+
 # About 255k rows, so that the export runs over several chunks.
 _LONG_RUN = ("simulate", "--mode", "restarted", "--n", "100", "--r0", "2",
              "--t-max", "2600", "--seed", "5")

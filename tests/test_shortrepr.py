@@ -1,0 +1,99 @@
+"""The time text of trajectory exports against float.__repr__, byte for byte.
+
+pytest turns every RuntimeWarning into a failure (pyproject.toml), so the
+cases below also check that no input, NaN, infinities and subnormals
+included, makes the formatter warn (log10 of 0, say).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sisq import _shortrepr
+
+_NEWLINE = _shortrepr.byte_table(["\n"])
+
+
+def _text(values) -> str:
+    x = np.asarray(values, dtype=float)
+    return _shortrepr.time_text(x, np.zeros(x.size, np.intp), _NEWLINE)
+
+
+def _reference(values) -> str:
+    return "".join(float.__repr__(v) + "\n" for v in np.asarray(values, dtype=float).tolist())
+
+
+def _decided(values) -> np.ndarray:
+    """Rows whose text the integer search decides, not repr."""
+    return _shortrepr._shortest(np.asarray(values, dtype=float))[0]
+
+
+def test_random_bit_patterns_across_the_computed_range():
+    # 2**20 doubles drawn uniformly by bit pattern from [1e-4, 2**53), so
+    # every binary exponent of the range is about equally represented.
+    rng = np.random.default_rng(20181)
+    lo = int(np.float64(1e-4).view(np.uint64))
+    hi = int(np.float64(2.0 ** 53).view(np.uint64))
+    decided = 0
+    for _ in range(16):
+        x = rng.integers(lo, hi, 1 << 16, dtype=np.uint64).view(np.float64)
+        assert _text(x) == _reference(x)
+        decided += int(_decided(x).sum())
+    # Only exact ties (x * 10**j halfway between two integers, which
+    # needs x above about 1e12 here) are left to repr.
+    assert decided / (16 << 16) > 0.98
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_any_finite_doubles(values):
+    assert _text(values) == _reference(values)
+
+
+_POWERS_OF_TEN = [10.0 ** e for e in range(-8, 23)]
+
+_CASES = {
+    "signed_zero": [0.0, -0.0, 0.0],
+    "subnormal": [5e-324, 1e-320, 2.225073858507201e-308, 4.9406564584124654e-322],
+    "normal_below_1e-4": [2.2250738585072014e-308, 1e-300, 3e-05, 1e-05,
+                          np.nextafter(1e-4, 0.0)],
+    "from_2**53": [2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 60, 1e16, 1.7976931348623157e308],
+    "not_finite_or_negative": [np.inf, -np.inf, np.nan, -1.5, -1e-4],
+    "powers_of_two": [2.0 ** e for e in range(-1074, 1024)],
+    "below_powers_of_ten": [np.nextafter(np.nextafter(p, 0.0), 0.0) for p in _POWERS_OF_TEN]
+                           + [np.nextafter(p, 0.0) for p in _POWERS_OF_TEN],
+    "powers_of_ten": _POWERS_OF_TEN,
+    "above_powers_of_ten": [np.nextafter(p, np.inf) for p in _POWERS_OF_TEN]
+                           + [np.nextafter(np.nextafter(p, np.inf), np.inf)
+                              for p in _POWERS_OF_TEN],
+    "k_times_10**e": [float(f"{k}e{e}") for k in range(1, 1000, 7) for e in range(-7, 17)],
+    # x * 10 halfway between two integers that both lie in x's interval.
+    "exact_tie": [1886111395783780.25, 2.0 ** 50 + 0.75, 1234567890123456.25],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_edge_values_match_repr(case):
+    values = _CASES[case]
+    assert _text(values) == _reference(values)
+    # One row at a time, so that each value is alone in its chunk.
+    assert "".join(_text([v]) for v in values) == _reference(values)
+
+
+def test_rows_left_to_repr():
+    left = [-0.0, 5e-324, 2.2250738585072014e-308, np.nextafter(1e-4, 0.0), 2.0 ** 53,
+            2.0 ** 60, np.inf, np.nan, -1.5, 0.5, 2.0 ** 20, *_CASES["exact_tie"]]
+    assert not _decided(left).any()
+    computed = [1e-4, 0.1, 0.3, 1000.123, 2.0 ** 53 - 1, 3.0, 123456.789,
+                np.nextafter(2.0 ** 53, 0.0) - 1]
+    assert _decided(computed).all()
+
+
+def test_table_entries_follow_each_row():
+    table = _shortrepr.byte_table([",0\n", ",12\n", ""])
+    x = np.array([0.0, 2.0 ** 60, 0.1, 1e-5, 7.25])
+    keys = np.array([1, 0, 2, 1, 0])
+    want = "0.0,12\n1.152921504606847e+18,0\n0.11e-05,12\n7.25,0\n"
+    assert _shortrepr.time_text(x, keys, table) == want
+    assert _shortrepr.keyed_text(keys, table) == ",12\n,0\n,12\n,0\n"
