@@ -20,10 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import signal
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -48,26 +45,8 @@ SCHEMA_VERSION = 1
 # at 65,536), and serial exports of a 487,620-row restarted n = 100 log
 # took 108 ms (CSV) and 130 ms (JSON), against 140/170 ms at 4,096 rows,
 # 108/136 at 8,192, 127/148 at 32,768 and 145/181 at 65,536 (medians of
-# 11 alternating runs, 2-core x86-64 host).  The two forked helpers of a
-# long file export (_FORK_MIN_ROWS) each stream their half of the rows
-# this way.
+# 11 alternating runs, 2-core x86-64 host).
 _CHUNK = 1 << 14
-
-# Rows from which a file export is formatted by two forked helpers, one
-# for each half of the rows, instead of in the command's own process.
-# Their fixed cost (two forks, the copy of the second half, cold first
-# chunks: about 12 ms) put the break-even at 98k-131k rows of a restarted
-# n = 100 log, CSV and JSON alike (medians of 21 alternating calls of
-# _trajectory_output, 2-core x86-64 host): from 131,072 rows the helpers
-# took 0.91-0.97x the serial time, 0.91-0.93x at 196,608 rows and
-# 0.71x (CSV), 0.74x (JSON) at 487,620.  They also keep a long export's
-# chunk temporaries out of the command's peak memory, which stays that of
-# the simulation; formatted here, the benchmark's three trajectory
-# exports raised it by about 2.2 MB.
-_FORK_MIN_ROWS = 1 << 17
-
-# Bytes per read when the second helper's half is appended to the output.
-_COPY_BLOCK = 1 << 16
 
 __all__ = ["main"]
 
@@ -277,151 +256,65 @@ def _cmd_compare(args) -> int:
 
 
 def _trajectory_output(args, tr) -> None:
-    """Write the trajectory export of `tr` to --output.
-
-    A file export of at least _FORK_MIN_ROWS rows, on a host that can fork
-    and has two CPUs, is formatted by two forked helpers split at the
-    middle row of the time column: the first writes straight into
-    --output, the second into an anonymous temporary file that this
-    process then appends.  This process formats nothing there, so its
-    peak memory does not rise, and no file is made beside --output, so
-    any --output the serial path can write (a FIFO, /dev/stdout, a file
-    in a read-only directory) works.  Every other export is formatted
-    here.  The bytes are the same on both paths.
-    """
-    # The text formatter is imported here, not with this module, so that
-    # the other commands load no more code; and before any fork, so that
-    # the helpers inherit it instead of each importing it.
-    from sisq import _shortrepr
-    if (args.output == "-" or tr.times.size < _FORK_MIN_ROWS
-            or not hasattr(os, "fork") or (os.cpu_count() or 1) < 2):
-        _write(args.output, _trajectory_pieces(args, tr, 0, None))
-        return
-    mid = tr.times.size // 2
-    with open(args.output, "wb") as out, tempfile.TemporaryFile() as spill:
-        _write_forked([(out, lambda: _trajectory_pieces(args, tr, 0, mid)),
-                       (spill, lambda: _trajectory_pieces(args, tr, mid, None))])
-        spill.seek(0)
-        while block := spill.read(_COPY_BLOCK):
-            out.write(block)
+    """Write the trajectory export of `tr` to --output."""
+    pieces = _csv_pieces(tr) if args.format == "csv" else _json_pieces(args, tr)
+    _write(args.output, pieces)
 
 
-def _write_forked(jobs) -> None:
-    """For each (file, pieces) job, write the strings of pieces() to the
-    open binary `file` in a helper forked for it, and wait for them all.
-
-    A helper leaves only through os._exit, so it runs none of this
-    process's cleanup.  Helpers are reaped in the order they finish; the
-    first nonzero exit status raises RuntimeError, and any helper still
-    running then is killed and reaped.
-    """
-    pending = set()
-    try:
-        for file, pieces in jobs:
-            pid = os.fork()
-            if pid == 0:
-                _helper(file, pieces)
-            pending.add(pid)
-        while pending:
-            pid, status = os.waitpid(-1, 0)
-            if pid in pending:
-                pending.remove(pid)
-                code = os.waitstatus_to_exitcode(status)
-                if code:
-                    raise RuntimeError(f"export helper failed (exit status {code})")
-    finally:
-        for pid in pending:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _helper(file, pieces):
-    """Body of a forked export helper: write pieces() to `file`, then os._exit."""
-    code = 1
-    try:
-        with open(file.fileno(), "w", closefd=False) as f:
-            f.writelines(pieces())
-        code = 0
-    except Exception as exc:
-        os.write(2, f"error: export helper: {exc}\n".encode())
-    finally:
-        os._exit(code)
-
-
-def _trajectory_pieces(args, tr, lo: int, hi: int | None):
-    """Pieces of the export, in output order, from row `lo` of the time
-    column up to row `hi` (None: on to the end of the document).
-
-    The pieces of (0, mid) and then (mid, None) join to the pieces of
-    (0, None) for any mid; chunks are cut at `lo`.
-    """
-    if args.format == "csv":
-        return _csv_pieces(tr, lo, hi)
-    return _json_pieces(args, tr, lo, hi)
-
-
-def _csv_pieces(tr, lo, hi):
+def _csv_pieces(tr):
     # One string per _CHUNK rows, each row's time followed by the suffix
-    # ",state,flag\n" that entry state + (n+1)*flag of a table holds.
+    # ",state,flag\n" that entry state + (n+1)*flag of a table holds.  The
+    # text formatter is imported here and in _json_pieces, not with this
+    # module, so that the other commands load no more code.
     from sisq import _shortrepr
 
-    hi = tr.times.size if hi is None else hi
-    if lo == 0:
-        yield "time,state,restart_flag\n"
+    yield "time,state,restart_flag\n"
     width = tr.n + 1
     table = _shortrepr.byte_table([f",{state},{flag}\n" for flag in (0, 1)
                                    for state in range(width)])
-    for i in range(lo, hi, _CHUNK):
-        j = min(i + _CHUNK, hi)
+    for i in range(0, tr.times.size, _CHUNK):
+        j = i + _CHUNK
         keys = tr.states[i:j] + np.int64(width) * tr.restart_flags[i:j]
         yield _shortrepr.time_text(tr.times[i:j], keys, table)
 
 
-def _json_pieces(args, tr, lo, hi):
+def _json_pieces(args, tr):
     from sisq import _shortrepr
 
-    if lo == 0:
-        head = json.dumps({
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "mode": args.mode,
-            "params": _params_json(_params_from_args(args)),
-            "t_end": tr.t_end,
-            "final_state": tr.final_state,
-            "n_events": tr.n_events,
-            "n_restarts": tr.n_restarts,
-            "log_truncated": tr.log_truncated,
-        }, indent=2)
-        yield head[:-2]
+    head = json.dumps({
+        "schema_version": SCHEMA_VERSION,
+        "command": "simulate",
+        "mode": args.mode,
+        "params": _params_json(_params_from_args(args)),
+        "t_end": tr.t_end,
+        "final_state": tr.final_state,
+        "n_events": tr.n_events,
+        "n_restarts": tr.n_restarts,
+        "log_truncated": tr.log_truncated,
+    }, indent=2)
+    yield head[:-2]
     # json.dumps never uses its C encoder when indent is set, so the
     # columns (never empty: the log starts with the initial row) are
     # spliced in, _CHUNK items at a time, with the layout indent=2 gives
     # them.  Every item but a column's last is followed by ",\n    ": key
     # v (a state, a flag, 0 for a time) picks entry v of its column's
     # table, and on the last row entry v + len(items), the item alone.
-    # The time column runs over rows lo..hi; the other two come whole, and
-    # only when hi is None.
     size = tr.times.size
-    columns = [("time", lo, size if hi is None else hi, [""],
-                np.broadcast_to(np.intp(0), size))]
-    if hi is None:
-        columns += [("state", 0, size, [str(state) for state in range(tr.n + 1)], tr.states),
-                    ("restart_flag", 0, size, ["0", "1"], tr.restart_flags)]
-    for key, a, b, items, values in columns:
-        if a == 0:
-            yield f',\n  "{key}": [\n    '
+    for key, items, values in (
+            ("time", [""], np.broadcast_to(np.intp(0), size)),
+            ("state", [str(state) for state in range(tr.n + 1)], tr.states),
+            ("restart_flag", ["0", "1"], tr.restart_flags)):
+        yield f',\n  "{key}": [\n    '
         table = _shortrepr.byte_table([item + ",\n    " for item in items] + items)
-        for i in range(a, b, _CHUNK):
-            j = min(i + _CHUNK, b)
+        for i in range(0, size, _CHUNK):
+            j = min(i + _CHUNK, size)
             keys = values[i:j].astype(np.intp)
             if j == size:
                 keys[-1] += len(items)
             yield (_shortrepr.time_text(tr.times[i:j], keys, table) if key == "time"
                    else _shortrepr.keyed_text(keys, table))
-        if b == size:
-            yield "\n  ]"
-    if hi is None:
-        yield "\n}\n"
+        yield "\n  ]"
+    yield "\n}\n"
 
 
 def _cmd_simulate(args) -> int:

@@ -15,13 +15,14 @@ numpy then gives the block its clocks (one cumulative sum), its
 occupancy (one `np.add.at`) and the row where the horizon falls (one
 `searchsorted`).  Each of these adds in the order a per-event loop
 would, so every double is the one such a loop computes.  Each block's
-rows are kept as arrays, states at the narrowest integer type that
-holds n, and joined after the run, so the log peaks near 18 B a row
-against 17 B once recorded.  `_jump` is the lean sampler behind
-`conditioned_ensemble` and `extinction_time_samples`: it keeps nothing
-but the state and the clock, and stops at absorption or once the clock
-reaches t_stop (infinite for extinction times).  It keeps no log, so it
-has no bookkeeping to move out of its loop and stays a plain event loop.
+rows are kept as arrays, states at the narrowest signed integer type
+that holds n, and joined after the run, so the log peaks near 18 B a row
+against 10 B (n <= 127) or 11 B (n <= 32,767) once recorded.  `_jump`
+is the lean sampler behind `conditioned_ensemble` and
+`extinction_time_samples`: it keeps nothing but the state and the clock,
+and stops at absorption or once the clock reaches t_stop (infinite for
+extinction times).  It keeps no log, so it has no bookkeeping to move
+out of its loop and stays a plain event loop.
 
 Both loops take their draws a block at a time: one block of exponentials
 and one of uniforms.  A loop walks a block through a memoryview (`_run`
@@ -68,12 +69,13 @@ __all__ = [
 
 # Beyond this many logged rows a trajectory keeps simulating but stops
 # recording individual events; occupancy and counters stay exact.  A row
-# costs 17 B in the finished Trajectory.  _run keeps each draw block's
-# states at the narrowest integer type that holds n and widens them once,
-# at the join, so it peaks at about 18 B a row (tracemalloc, CPython 3.11,
-# at n = 100 and n = 1000).  So a full log peaks near 0.18 GB and then
-# holds 170 MB; the CLI export adds under 1 MB (one chunk of text)
-# whatever the length.
+# costs 10 B in the finished Trajectory for n <= 127 and 11 B up to
+# n = 32,767: a double, the state at the narrowest signed integer type
+# that holds n (_state_dtype), and a flag.  _run peaks at 17-18 B a row,
+# while it joins the time column (tracemalloc, CPython 3.11, at n = 100
+# and n = 1000).  So a full log peaks near 0.18 GB and then holds
+# 100-110 MB; the CLI export adds one chunk of text and its temporaries
+# (about 2.5 MB) whatever the length.
 MAX_LOGGED_EVENTS = 10**7
 
 _BLOCK = 1024
@@ -132,7 +134,9 @@ class Trajectory:
     Attributes:
         n: population size.
         times: logged row times, starting at 0.0.
-        states: logged row states in 0..n.
+        states: logged row states in 0..n, at the narrowest signed
+            integer type that holds n (int8 up to n = 127, int16 up to
+            32,767).
         restart_flags: True exactly on instantaneous-restart rows.
         t_end: final simulated time (absorption time or the horizon).
         state_time: occupancy clock per state 0..n over [0, t_end]; the
@@ -156,11 +160,19 @@ class Trajectory:
     log_truncated: bool
 
     def __post_init__(self) -> None:
-        for name, dtype in (("times", float), ("states", np.int64),
+        for name, dtype in (("times", float), ("states", _state_dtype(self.n)),
                             ("restart_flags", bool), ("state_time", float)):
             arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+
+def _state_dtype(n: int) -> np.dtype:
+    """Narrowest signed integer type that holds the states 0..n.
+
+    Signed, so that np.diff of a state column is -1 where it falls.
+    """
+    return np.min_scalar_type(-(n + 1))
 
 
 def _rates(p: ModelParams) -> tuple[list, list]:
@@ -176,7 +188,7 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
          restarted: bool) -> Trajectory:
     births, totals = _rates(p)
     total_arr = np.array(totals)
-    narrow = np.min_scalar_type(p.n)
+    narrow = _state_dtype(p.n)
     # The log, one array per draw block; the initial row is the first.
     time_parts = [np.zeros(1)]
     state_parts = [np.array([y0], dtype=narrow)]
@@ -245,7 +257,7 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
     # at most two 8-byte copies of a row.
     times_arr = np.concatenate(time_parts)
     del time_parts
-    states_arr = np.concatenate(state_parts, dtype=np.int64)
+    states_arr = np.concatenate(state_parts)
     del state_parts
     return Trajectory(
         n=p.n,

@@ -14,6 +14,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from _oracles import trajectory_output_reference
 
@@ -484,33 +485,12 @@ def test_trajectory_output_bytes_are_pinned(case, fmt, tmp_path, capsys, monkeyp
     assert (1 in flags) is (case in ("restarted", "truncated"))
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Processes forked during the test, with two CPUs reported on any host
-    and the helper threshold at two rows, so that a file export of two
-    rows or more takes the helper path."""
-    calls = []
-    fork = os.fork
-
-    def counted_fork():
-        calls.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sisq.cli, "_FORK_MIN_ROWS", 2)
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return calls
-
-
-# Rows of the cases: restarted 371, plain 34, one_row 1, truncated 6.  A
-# file export of two rows or more runs on two helpers split at row
-# rows // 2, which lies on a chunk boundary at chunk 1, at 5 (restarted),
-# at 17 (plain) and at 3 (truncated), and inside a chunk at every other
-# size; one_row stays serial.
+# Rows of the cases: restarted 371, plain 34, one_row 1, truncated 6, so
+# that every chunk size but 1 leaves a short last chunk on some case.
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 17])
 @pytest.mark.parametrize("case,fmt", sorted(_TRAJECTORY_SHA256))
 def test_trajectory_output_bytes_hold_across_chunk_sizes(case, fmt, chunk, tmp_path,
-                                                         capsys, monkeypatch, forks):
+                                                         capsys, monkeypatch):
     monkeypatch.setattr(sisq.cli, "_CHUNK", chunk)
     flags, cap = _TRAJECTORY_CASES[case]
     if cap is not None:
@@ -518,9 +498,7 @@ def test_trajectory_output_bytes_hold_across_chunk_sizes(case, fmt, chunk, tmp_p
     argv = ("simulate", *flags, "--format", fmt)
     target = tmp_path / f"traj.{fmt}"
     assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
-    assert len(forks) == (0 if case == "one_row" else 2)
     assert run_cli(capsys, *argv, "--output", "-") == (0, target.read_text(), "")
-    assert len(forks) == (0 if case == "one_row" else 2)
     assert hashlib.sha256(target.read_bytes()).hexdigest() == _TRAJECTORY_SHA256[case, fmt]
     assert os.listdir(tmp_path) == [target.name]
 
@@ -528,20 +506,18 @@ def test_trajectory_output_bytes_hold_across_chunk_sizes(case, fmt, chunk, tmp_p
 # Times that take both paths of the time formatter: +0.0 and 0.1, 0.75,
 # 1.3 and 2**52 + 1 are computed; 3e-05 (below 1e-4), 0.5 and 2**52
 # (powers of two), and 2**53 and up go to repr.  With chunks of 1, 2, 3
-# and 5 rows, and the helpers' split at row 6, repr rows fall at the start
-# and at the end of chunks and of halves.
+# and 5 rows, repr rows fall at the start and at the end of chunks.  The
+# export is written to a file and to stdout, the two ends of _write.
 _MIXED_TIMES = (0.0, 3e-05, 0.1, 0.5, 0.75, 1.3, 2.0 ** 52, 2.0 ** 52 + 1,
                 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 60, 1.5 * 2.0 ** 60)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
-@pytest.mark.parametrize("helpers", [False, True])
+@pytest.mark.parametrize("to_stdout", [False, True])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_mixed_computed_and_repr_times_export_as_reference(fmt, helpers, chunk, tmp_path,
-                                                           monkeypatch, forks):
+def test_mixed_computed_and_repr_times_export_as_reference(fmt, to_stdout, chunk, tmp_path,
+                                                           capsys, monkeypatch):
     monkeypatch.setattr(sisq.cli, "_CHUNK", chunk)
-    if not helpers:
-        monkeypatch.setattr(sisq.cli, "_FORK_MIN_ROWS", len(_MIXED_TIMES) + 1)
     tr = sisq.sim.Trajectory(
         n=10, times=_MIXED_TIMES, states=[1, 2, 1, 0, 1, 2, 3, 2, 1, 0, 1, 2],
         restart_flags=[False] * 4 + [True] + [False] * 5 + [True, False],
@@ -550,10 +526,28 @@ def test_mixed_computed_and_repr_times_export_as_reference(fmt, helpers, chunk, 
     target = tmp_path / f"traj.{fmt}"
     args = sisq.cli._build_parser().parse_args(
         ("simulate", "--mode", "restarted", "--n", "10", "--r0", "2", "--t-max", "1e20",
-         "--seed", "1", "--format", fmt, "--output", str(target)))
+         "--seed", "1", "--format", fmt, "--output", "-" if to_stdout else str(target)))
     sisq.cli._trajectory_output(args, tr)
-    assert len(forks) == (2 if helpers else 0)
-    assert target.read_text() == trajectory_output_reference(args, tr)
+    text = capsys.readouterr().out if to_stdout else target.read_text()
+    assert text == trajectory_output_reference(args, tr)
+
+
+@pytest.mark.parametrize("n, dtype", [(127, np.int8), (128, np.int16)])
+def test_state_column_at_the_dtype_boundary_exports_as_reference(n, dtype, tmp_path, capsys):
+    # At R0 = 1000 the chain soon climbs to n and stays near it, the top of
+    # the state type: int8 holds n = 127, not 128.
+    argv = ("simulate", "--mode", "restarted", "--n", str(n), "--r0", "1000",
+            "--t-max", "2", "--seed", "3")
+    args = sisq.cli._build_parser().parse_args(argv)
+    tr = sisq.sim.simulate_restarted(sisq.cli._params_from_args(args), args.t_max,
+                                     sisq.sim.SeedSpec(args.seed))
+    assert tr.states.dtype == dtype and tr.states.max() == n
+    assert np.all(np.abs(np.diff(tr.states)) == 1)
+    for fmt in ("csv", "json"):
+        target = tmp_path / f"traj.{fmt}"
+        assert run_cli(capsys, *argv, "--format", fmt, "--output", str(target)) == (0, "", "")
+        args = sisq.cli._build_parser().parse_args((*argv, "--format", fmt))
+        assert target.read_text() == trajectory_output_reference(args, tr)
 
 
 # About 255k rows, so that the export runs over several chunks.
@@ -569,11 +563,10 @@ def long_run():
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_long_trajectory_output_matches_reference(fmt, long_run, tmp_path, capsys, forks):
+def test_long_trajectory_output_matches_reference(fmt, long_run, tmp_path, capsys):
     assert long_run.times.size > 2 * sisq.cli._CHUNK
     argv = (*_LONG_RUN, "--format", fmt, "--output", str(tmp_path / "traj"))
     assert run_cli(capsys, *argv) == (0, "", "")
-    assert len(forks) == 2
     args = sisq.cli._build_parser().parse_args(argv)
     assert (tmp_path / "traj").read_text() == trajectory_output_reference(args, long_run)
 
@@ -581,12 +574,11 @@ def test_long_trajectory_output_matches_reference(fmt, long_run, tmp_path, capsy
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_trajectory_output_memory_does_not_grow_with_the_log(fmt, long_run, tmp_path):
     # Peak allocation of the export of the first 70k and 140k rows, both
-    # past the first chunk, run through the range formatter as the two
-    # export helpers run it (rows 0..mid, then mid to the end): the second
-    # 70k may add at most 16 B a row.  Building the whole file as one
-    # string cost 151 B (CSV) and 163 B (JSON) a row.
-    args = sisq.cli._build_parser().parse_args((*_LONG_RUN, "--format", fmt))
-    target = str(tmp_path / "traj")
+    # past the first chunk: the second 70k may add at most 16 B a row.
+    # Building the whole file as one string cost 151 B (CSV) and 163 B
+    # (JSON) a row.
+    args = sisq.cli._build_parser().parse_args(
+        (*_LONG_RUN, "--format", fmt, "--output", str(tmp_path / "traj")))
     sizes = (70_000, 140_000)
     peaks = []
     for rows in sizes:
@@ -595,8 +587,7 @@ def test_trajectory_output_memory_does_not_grow_with_the_log(fmt, long_run, tmp_
                                  restart_flags=long_run.restart_flags[:rows])
         tracemalloc.start()
         try:
-            for lo, hi in ((0, rows // 2), (rows // 2, None)):
-                sisq.cli._write(target, sisq.cli._trajectory_pieces(args, tr, lo, hi))
+            sisq.cli._trajectory_output(args, tr)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -606,10 +597,10 @@ def test_trajectory_output_memory_does_not_grow_with_the_log(fmt, long_run, tmp_
 def test_restarted_command_memory_per_row(tmp_path):
     # Marginal tracemalloc peak of the whole command, run plus export,
     # between two horizons (about 48k and 97k rows): held to the bound of
-    # _run alone, 21 B a row (test_run_memory_per_logged_row).  With two
-    # CPUs the export is formatted in helper processes, which tracemalloc
-    # does not see; test_trajectory_output_memory_does_not_grow_with_the_log
-    # holds their formatter to its own bound.
+    # _run alone, 21 B a row (test_run_memory_per_logged_row).  The export
+    # is formatted in this process one chunk at a time, so what it adds to
+    # the peak does not grow with the log
+    # (test_trajectory_output_memory_does_not_grow_with_the_log).
     rows, peaks = [], []
     for t_max in ("500", "1000"):
         target = tmp_path / f"traj{t_max}.csv"
@@ -677,74 +668,21 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("first, second",
-                         [("raise", "hang"), ("hang", "raise"), ("write", "raise")])
-def test_failed_export_helper_leaves_no_part_and_no_child(first, second, tmp_path,
-                                                          capsys, monkeypatch, forks):
-    # A helper that raises fails the command with error:, as soon as it
-    # exits, whichever helper it is; the other helper is killed if it
-    # still runs, and no file but the output and no child remains.
-    pieces = sisq.cli._trajectory_pieces
-
-    def helper_pieces(args, tr, lo, hi):
-        action = first if lo == 0 else second
-        if action == "raise":
-            raise OSError(28, "No space left on device")
-        if action == "hang":
-            time.sleep(60)
-        return pieces(args, tr, lo, hi)
-
-    monkeypatch.setattr(sisq.cli, "_trajectory_pieces", helper_pieces)
-    target = tmp_path / "traj.csv"
-    with _deadline(30):
-        code, out, err = run_cli(capsys, "simulate", "--mode", "restarted", "--n", "10",
-                                 "--r0", "2", "--t-max", "50", "--seed", "1",
-                                 "--output", str(target))
-    assert len(forks) == 2
-    assert code == 1 and out == ""
-    assert err == "error: export helper failed (exit status 1)\n"
-    assert os.listdir(tmp_path) == [target.name]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("kind", ["fifo", "pipe_fd"])
-def test_helper_export_makes_no_file_beside_the_output(kind, fmt, tmp_path, capsys, forks):
-    # Any output the serial path can write gets the serial bytes from the
-    # helpers: a FIFO in a directory that takes no new file (for any user
-    # but root), and /dev/fd/N of a pipe, as a shell passes >(gzip > x.gz),
-    # beside which no one can make a file.
+def test_trajectory_export_to_a_pipe_fd(fmt, capsys):
+    # /dev/fd/N of a pipe, as a shell passes >(gzip > x.gz), gets the
+    # bytes of stdout.  The export (under 16 KB) fits in the pipe's
+    # buffer, so no reader need run while the command writes.
     argv = ("simulate", *_TRAJECTORY_CASES["restarted"][0], "--format", fmt)
-    if kind == "fifo":
-        target = tmp_path / "out"
-        os.mkfifo(target)
-        tmp_path.chmod(0o555)
-        reader = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdout.buffer."
-                                   "write(open(sys.argv[1], 'rb').read())", str(target)],
-                                  stdout=subprocess.PIPE)
+    r, w = os.pipe()
+    with open(r, "rb") as reader:
         try:
             with _deadline(30):
-                code = main([*argv, "--output", str(target)])
-            data, _ = reader.communicate(timeout=30)
-            assert reader.returncode == 0
-            assert os.listdir(tmp_path) == [target.name]
+                code = main([*argv, "--output", f"/dev/fd/{w}"])
         finally:
-            reader.kill()
-            reader.wait(timeout=30)
-            tmp_path.chmod(0o755)
-    else:
-        # The export (under 16 KB) fits in the pipe's buffer, so no reader
-        # need run while the command writes.
-        r, w = os.pipe()
-        with open(r, "rb") as reader:
-            try:
-                with _deadline(30):
-                    code = main([*argv, "--output", f"/dev/fd/{w}"])
-            finally:
-                os.close(w)
-            data = reader.read()
-    assert code == 0 and len(forks) == 2
+            os.close(w)
+        data = reader.read()
+    assert code == 0
     assert run_cli(capsys, *argv, "--output", "-") == (0, data.decode(), "")
     assert hashlib.sha256(data).hexdigest() == _TRAJECTORY_SHA256["restarted", fmt]
 
