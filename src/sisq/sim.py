@@ -81,7 +81,7 @@ MAX_LOGGED_EVENTS = 10**7
 _BLOCK = 1024
 
 # Refuse extinction sampling and restarted runs whose expected event
-# count exceeds this:
+# count exceeds this, and stop a trajectory whose event count passes it:
 # about 40 minutes at the 4.3-4.5M events/s the sampler loop ran (medians
 # of 7 runs at n = 20 and n = 1000) on a 2-core x86-64 host with Python
 # 3.11 and numpy 2.4.
@@ -245,6 +245,9 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
             end = rows.size
             running = state != 0
         n_events += end
+        if n_events > _MAX_EXPECTED_EVENTS:
+            raise ValueError(f"the run passed {n_events} events by t={t!r}, beyond the "
+                             f"budget of {_MAX_EXPECTED_EVENTS:.0e} events; use a shorter horizon")
         n_restarts += end - jumps
         kept = min(end, room)
         truncated = truncated or kept < end
@@ -284,6 +287,9 @@ def _check_horizon(t_max: float) -> float:
 
 def simulate(p: ModelParams, y0: int, t_max: float, seed: SeedSpec) -> Trajectory:
     """One exact trajectory, stopped at absorption or at the horizon.
+
+    A run that passes _MAX_EXPECTED_EVENTS (1e10) events, checked once per
+    block of draws, is refused with ValueError before it returns.
 
     Args:
         p: model parameters.

@@ -22,11 +22,12 @@ magnitude below the matrix norm, a regime where any residual-based
 eigensolver returns pure rounding noise.  The full decomposition, needed
 only for propagators and identity checks at modest n, is delegated to
 scipy's eigh_tridiagonal, whose default driver picks LAPACK's
-divide-and-conquer stevd for a full spectrum.  stevd's own n x n
-workspace sits beside the n x n basis it returns, so a cold dense call
-peaks at about 2 n^2 doubles whatever order the propagator is assembled
-in.  The driver is left at scipy's default because another one would
-round every dense row differently.  The route's one limit is that every
+divide-and-conquer stevd for a full spectrum; scipy.linalg is imported
+there, so only the dense route loads it.  stevd's own n x n workspace
+sits beside the n x n basis it returns, so a cold dense call peaks at
+about 2 n^2 doubles whatever order the propagator is assembled in.  The
+driver is left at scipy's default because another one would round every
+dense row differently.  The route's one limit is that every
 normalized detailed-balance weight must be a nonzero double, which no n
 above about 2,030 meets at any R0.
 """
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import logsumexp
 
 from sisq.chain import ModelParams, build_transient_generator
@@ -47,9 +47,7 @@ from sisq.stationary import log_stationary_weights
 
 __all__ = [
     "ConvergenceError",
-    "SymmetrizedGenerator",
     "SpectralResult",
-    "symmetrize",
     "quasi_stationary_distribution",
     "expected_time_qsd",
     "full_decomposition",
@@ -75,37 +73,6 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SymmetrizedGenerator:
-    """Symmetric tridiagonal matrix similar to the transient generator.
-
-    The similarity transform by the square root of the detailed-balance
-    weights W leaves the diagonal unchanged and turns each off-diagonal
-    pair into sqrt(birth_rate(i) * death_rate(i+1)); that product form
-    depends only on the rates, so it never suffers the underflow that the
-    weights themselves are prone to.
-
-    Attributes:
-        n: dimension.
-        diag: main diagonal, length n.
-        offdiag: off-diagonal, length n - 1, strictly positive.
-        log_weights: log of the detailed-balance weights W, shifted so the
-            maximum entry is 0.  Kept in log form because the weights
-            themselves span hundreds of orders of magnitude.
-    """
-
-    n: int
-    diag: np.ndarray
-    offdiag: np.ndarray
-    log_weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("diag", "offdiag", "log_weights"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
 class SpectralResult:
     """Dominant eigenpair of the transient generator.
 
@@ -122,27 +89,6 @@ class SpectralResult:
         qsd = np.asarray(self.qsd, dtype=float)
         qsd.flags.writeable = False
         object.__setattr__(self, "qsd", qsd)
-
-
-def symmetrize(p: ModelParams) -> SymmetrizedGenerator:
-    """Similarity-transform the transient generator by the stationary weights.
-
-    The weights are the closed-form log_stationary_weights(p); nothing is
-    exponentiated here, so this never fails for valid parameters.  Whether
-    the weights fit double precision is checked by full_decomposition,
-    the one consumer that needs them outside log space.
-
-    Returns:
-        SymmetrizedGenerator with the same spectrum as the generator.
-    """
-    g = build_transient_generator(p)
-    log_w = log_stationary_weights(p)
-    return SymmetrizedGenerator(
-        n=g.n,
-        diag=g.diag,
-        offdiag=np.sqrt(g.upper * g.lower),
-        log_weights=log_w - log_w.max(),
-    )
 
 
 def _log_flux_sum_at_zero(p: ModelParams) -> float:
@@ -353,8 +299,11 @@ def expected_time_qsd(p: ModelParams) -> float:
     return 1.0 / rate
 
 
-def full_decomposition(s: SymmetrizedGenerator) -> tuple[np.ndarray, np.ndarray]:
+def full_decomposition(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of the symmetrized generator, descending order.
+
+    That is W^(1/2) Q W^(-1/2), W the detailed-balance weights: Q's
+    diagonal, and off-diagonal sqrt(birth_rate(i) * death_rate(i+1)).
 
     Returns (eigenvalues, basis): the eigenvalues in descending order and
     the orthonormal eigenvectors (to 1e-10, LAPACK) as the columns of
@@ -368,21 +317,26 @@ def full_decomposition(s: SymmetrizedGenerator) -> tuple[np.ndarray, np.ndarray]
     because the log-weights span at least about n/e nats and exp
     underflows past 745.
     """
-    if not np.all(np.exp(s.log_weights - logsumexp(s.log_weights)) > 0.0):
+    from scipy.linalg import eigh_tridiagonal
+    lw = log_stationary_weights(p)
+    lw = lw - lw.max()
+    if not np.all(np.exp(lw - logsumexp(lw)) > 0.0):
         raise ValueError(
             "detailed-balance weight span exceeds double precision; the dense "
             "spectral route is unavailable at these parameters"
         )
-    evals, evecs = eigh_tridiagonal(s.diag, s.offdiag)
+    g = build_transient_generator(p)
+    evals, evecs = eigh_tridiagonal(g.diag, np.sqrt(g.upper * g.lower))
     return evals[::-1], evecs[:, ::-1]
 
 
-@lru_cache(maxsize=32)
+# One basis: every caller walks t for one parameter set at a time.
+@lru_cache(maxsize=1)
 def _propagator_parts(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached (eigenvalues, basis, sqrt of the weights W) for exp(Q t)."""
-    s = symmetrize(p)
-    evals, basis = full_decomposition(s)
-    sqw = np.exp(0.5 * s.log_weights)
+    evals, basis = full_decomposition(p)
+    lw = log_stationary_weights(p)
+    sqw = np.exp(0.5 * (lw - lw.max()))
     for arr in (evals, basis, sqw):
         arr.flags.writeable = False
     return evals, basis, sqw

@@ -4,7 +4,8 @@ Everything here is deliberately written by a different route than the
 library code it checks: dense matrices instead of banded storage, a
 Poisson-series propagator instead of the spectral one, raw ratio
 recurrences instead of log-gamma closed forms, LAPACK's stebz/stein
-eigenpair instead of the flux recurrence.  The exceptions are frozen
+eigenpair of the symmetrized generator, built here from the rates,
+instead of the flux recurrence.  The exceptions are frozen
 copies that pin the library's output bit for bit rather than check it by
 another route: flux_bisection_reference, the flux solver as it stood
 before its halving phase became a binary search, with its _flux_sweep,
@@ -24,7 +25,7 @@ from scipy.linalg import eigh_tridiagonal
 import sisq.cli as cli
 import sisq.sim as sim
 from sisq.chain import ModelParams, TransientGenerator, build_transient_generator
-from sisq.spectral import ConvergenceError, SymmetrizedGenerator
+from sisq.spectral import ConvergenceError
 
 
 def dense_transient(p: ModelParams) -> np.ndarray:
@@ -100,9 +101,11 @@ def _tridiag_norm_inf(diag: np.ndarray, offdiag: np.ndarray) -> float:
     return float(rs.max())
 
 
-def dominant_eigenpair(s: SymmetrizedGenerator) -> tuple[float, np.ndarray]:
+def dominant_eigenpair(p: ModelParams) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and its unit eigenvector, all entries one sign.
 
+    Works on the symmetric tridiagonal matrix similar to the transient
+    generator: its diagonal, and off-diagonal sqrt(upper * lower).
     Delegates to LAPACK's Sturm-count bisection and inverse iteration
     (stebz/stein).  The residual is checked against the documented bound
     1e-10 * ||S||.
@@ -111,22 +114,25 @@ def dominant_eigenpair(s: SymmetrizedGenerator) -> tuple[float, np.ndarray]:
         (lambda1, u1) with u1 normalized to unit Euclidean norm and
         oriented positive.
     """
-    if s.n == 1:
-        return float(s.diag[0]), np.ones(1)
+    g = build_transient_generator(p)
+    diag = g.diag
+    offdiag = np.sqrt(g.upper * g.lower)
+    if p.n == 1:
+        return float(diag[0]), np.ones(1)
     evals, evecs = eigh_tridiagonal(
-        s.diag, s.offdiag, select="i", select_range=(s.n - 1, s.n - 1)
+        diag, offdiag, select="i", select_range=(p.n - 1, p.n - 1)
     )
     lam1 = float(evals[0])
     u1 = evecs[:, 0]
     if u1[np.argmax(np.abs(u1))] < 0.0:
         u1 = -u1
     resid = np.abs(
-        s.diag * u1
-        + np.concatenate((s.offdiag * u1[1:], [0.0]))
-        + np.concatenate(([0.0], s.offdiag * u1[:-1]))
+        diag * u1
+        + np.concatenate((offdiag * u1[1:], [0.0]))
+        + np.concatenate(([0.0], offdiag * u1[:-1]))
         - lam1 * u1
     ).max()
-    bound = 1e-10 * _tridiag_norm_inf(s.diag, s.offdiag)
+    bound = 1e-10 * _tridiag_norm_inf(diag, offdiag)
     if resid > bound:
         raise ConvergenceError(
             f"dominant eigenpair residual {resid:.3e} exceeds {bound:.3e}"

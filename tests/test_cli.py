@@ -653,6 +653,35 @@ def test_unbounded_restarted_run_is_refused(capsys, monkeypatch):
                    "use a shorter horizon\n")
 
 
+# 15,912 events by t = 10, none of them an absorption.
+_PLAIN_RUN = ("simulate", "--mode", "plain", "--n", "1000", "--r0", "5", "--y0", "800",
+              "--t-max", "10", "--seed", "1")
+_PLAIN_RUN_EVENTS = 15_912
+
+
+def test_plain_run_past_the_event_budget_is_refused(capsys, monkeypatch, tmp_path):
+    # The budget is checked once per block of 1024 draws, so the run stops
+    # after the third block.
+    monkeypatch.setattr(sisq.sim, "_MAX_EXPECTED_EVENTS", 3000)
+    target = tmp_path / "traj.csv"
+    code, out, err = run_cli(capsys, *_PLAIN_RUN, "--output", str(target))
+    assert code == 1 and out == ""
+    assert err == ("error: the run passed 3072 events by t=1.9353169779741606, beyond "
+                   "the budget of 3e+03 events; use a shorter horizon\n")
+    assert not target.exists()
+
+
+def test_plain_run_at_the_event_budget_is_accepted(capsys, monkeypatch):
+    code, want, _ = run_cli(capsys, *_PLAIN_RUN)
+    assert code == 0
+    monkeypatch.setattr(sisq.sim, "_MAX_EXPECTED_EVENTS", _PLAIN_RUN_EVENTS)
+    assert run_cli(capsys, *_PLAIN_RUN) == (0, want, "")
+    monkeypatch.setattr(sisq.sim, "_MAX_EXPECTED_EVENTS", _PLAIN_RUN_EVENTS - 1)
+    code, out, err = run_cli(capsys, *_PLAIN_RUN)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: the run passed {_PLAIN_RUN_EVENTS} events by t=10.0,")
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail the test, rather than hang, if the block runs past `seconds`."""
@@ -834,6 +863,19 @@ def test_every_public_name_has_a_system_user():
     unused = [f"{mod.__name__}.{name}" for mod in mods for name in mod.__all__
               if name not in used]
     assert not unused
+
+
+def test_cli_import_leaves_lapack_unloaded():
+    # Only the dense route needs scipy.linalg, and no command takes it.
+    src = str(Path(sisq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sisq.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_cli_entrypoint_subprocess():

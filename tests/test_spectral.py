@@ -15,45 +15,20 @@ from _oracles import (
     dense_transient,
     dominant_eigenpair,
     flux_bisection_reference,
-    ratio_log_weights,
     uniformization,
 )
-from sisq.chain import ModelParams, birth_rate, build_transient_generator, death_rate
+from sisq.chain import ModelParams, build_transient_generator
 from sisq.spectral import (
     ConvergenceError,
     conditioned_distribution,
     expected_time_qsd,
     full_decomposition,
     quasi_stationary_distribution,
-    symmetrize,
     transition_matrix,
 )
+from sisq.stationary import log_stationary_weights
 
 N2_LAMBDA1 = (-3.5 + math.sqrt(4.25)) / 2.0
-
-
-def test_symmetrize_single_state():
-    s = symmetrize(ModelParams(1, 1.0, 1.0))
-    assert s.diag.tolist() == [-1.0]
-    assert s.offdiag.size == 0
-
-
-def test_symmetrize_hand_values_n2():
-    s = symmetrize(ModelParams(2, 1.0, 1.0))
-    assert s.diag.tolist() == [-1.5, -2.0]
-    assert s.offdiag.tolist() == [1.0]
-
-
-def test_symmetrize_diag_unchanged_offdiag_from_rates():
-    p = ModelParams(13, 3.0, 0.7)
-    g = build_transient_generator(p)
-    s = symmetrize(p)
-    assert np.array_equal(s.diag, g.diag)
-    for k in range(p.n - 1):
-        assert s.offdiag[k] == pytest.approx(
-            math.sqrt(birth_rate(k + 1, p) * death_rate(k + 2, p)), rel=1e-15)
-    want = ratio_log_weights(p)
-    assert np.abs(s.log_weights - (want - want.max())).max() <= 1e-12
 
 
 # The dense route refuses exactly where a normalized detailed-balance
@@ -82,20 +57,20 @@ def test_symmetrized_spectrum_equals_dense_spectrum():
     # eps * sqrt(weight span)) and it stops being a 1e-8 reference.
     for n, lam in ((5, 1.0), (20, 3.0), (50, 2.0)):
         p = ModelParams(n, lam, 1.0)
-        got = np.sort(full_decomposition(symmetrize(p))[0])
+        got = np.sort(full_decomposition(p)[0])
         want = np.sort(np.linalg.eigvals(dense_transient(p)).real)
         scale = np.abs(dense_transient(p)).sum(axis=1).max()
         assert np.allclose(got, want, rtol=0.0, atol=1e-8 * scale)
 
 
 def test_dominant_eigenpair_single_state():
-    lam1, u1 = dominant_eigenpair(symmetrize(ModelParams(1, 2.0, 1.0)))
+    lam1, u1 = dominant_eigenpair(ModelParams(1, 2.0, 1.0))
     assert lam1 == -1.0
     assert u1.tolist() == [1.0]
 
 
 def test_dominant_eigenpair_hand_value_n2():
-    lam1, u1 = dominant_eigenpair(symmetrize(ModelParams(2, 1.0, 1.0)))
+    lam1, u1 = dominant_eigenpair(ModelParams(2, 1.0, 1.0))
     assert lam1 == pytest.approx(N2_LAMBDA1, rel=1e-12)
     assert np.all(u1 > 0.0)
     assert np.linalg.norm(u1) == pytest.approx(1.0, rel=1e-12)
@@ -103,14 +78,14 @@ def test_dominant_eigenpair_hand_value_n2():
 
 def test_dominant_eigenpair_positive_and_unit():
     for p in (ModelParams(10, 0.5), ModelParams(40, 2.0), ModelParams(25, 1.0, 3.0)):
-        lam1, u1 = dominant_eigenpair(symmetrize(p))
+        lam1, u1 = dominant_eigenpair(p)
         assert lam1 < 0.0
         assert np.all(u1 > 0.0)
         assert np.linalg.norm(u1) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_spectral_gap_hand_values_n2():
-    evals, _ = full_decomposition(symmetrize(ModelParams(2, 1.0, 1.0)))
+    evals, _ = full_decomposition(ModelParams(2, 1.0, 1.0))
     assert evals[0] == pytest.approx(N2_LAMBDA1, rel=1e-12)
     assert evals[1] == pytest.approx((-3.5 - math.sqrt(4.25)) / 2.0, rel=1e-12)
     assert evals[0] > evals[1]
@@ -159,10 +134,10 @@ def test_flux_and_lapack_routes_agree():
     for p in (ModelParams(10, 0.5), ModelParams(10, 2.0), ModelParams(30, 1.0, 2.5),
               ModelParams(50, 1.5, 1.0)):
         r = quasi_stationary_distribution(p)
-        s = symmetrize(p)
-        lam1, u1 = dominant_eigenpair(s)
+        lam1, u1 = dominant_eigenpair(p)
         assert r.lambda1 == pytest.approx(lam1, rel=1e-9)
-        q_full = u1 * np.exp(0.5 * s.log_weights)
+        lw = log_stationary_weights(p)
+        q_full = u1 * np.exp(0.5 * (lw - lw.max()))
         q_full /= q_full.sum()
         assert np.allclose(r.qsd, q_full, rtol=1e-9, atol=1e-12)
 
@@ -179,13 +154,13 @@ def test_expected_time_qsd_is_negative_reciprocal_eigenvalue():
 
 
 def test_full_decomposition_single_state():
-    evals, basis = full_decomposition(symmetrize(ModelParams(1, 1.0, 3.0)))
+    evals, basis = full_decomposition(ModelParams(1, 1.0, 3.0))
     assert evals.tolist() == [-3.0]
     assert np.abs(basis).tolist() == [[1.0]]
 
 
 def test_full_decomposition_descending_orthonormal():
-    evals, basis = full_decomposition(symmetrize(ModelParams(40, 2.0, 1.0)))
+    evals, basis = full_decomposition(ModelParams(40, 2.0, 1.0))
     assert np.all(np.diff(evals) < 0.0)
     gram = basis.T @ basis
     assert np.abs(gram - np.eye(40)).max() <= 1e-10
@@ -194,7 +169,7 @@ def test_full_decomposition_descending_orthonormal():
 def test_full_decomposition_trace_identity():
     p = ModelParams(40, 2.0, 1.0)
     g = build_transient_generator(p)
-    evals, _ = full_decomposition(symmetrize(p))
+    evals, _ = full_decomposition(p)
     assert evals.sum() == pytest.approx(g.diag.sum(), rel=1e-9)
 
 
