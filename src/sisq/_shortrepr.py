@@ -1,11 +1,11 @@
 """Text of trajectory export columns, a chunk of rows at a time.
 
 Each time is written exactly as float.__repr__ writes it: the shortest
-decimal that reads back as the same double, nearest to it among those.
-For a time in [1e-4, 2**53) that decimal is found with uint64 integer
-arithmetic over the whole chunk (the exact integer test that Ryu rests
-on: Adams, PLDI 2018); +0.0 is written "0.0", and every other time, and
-every time that the test leaves undecided, goes through float.__repr__.
+decimal that reads back as the same double, nearest to it among those,
+an exact tie to the even one.  For a time in [1e-4, 2**53) that is not a
+power of two, that decimal is found with uint64 integer arithmetic over
+the whole chunk (the exact integer test that Ryu rests on: Adams, PLDI
+2018); every other time goes through float.__repr__.
 
 Each row's text is followed by an entry of a byte table chosen by the
 row's key: ",state,flag\\n" in CSV, the JSON separator, or a state or flag
@@ -20,11 +20,10 @@ import numpy as np
 
 _U = np.uint64
 
-# 5**j for every fraction length j the search tries.  Below 2**53, 16 or
-# 17 significant digits put j at most 21 (x < 1e-3 has three leading
-# fraction zeros), and 5**22 < 2**52 keeps 2m * 5**j within 106 bits.
-_POW5 = np.array([5 ** j for j in range(23)], dtype=np.uint64)
-_J_MAX = _U(_POW5.size - 1)
+# 5**j for every fraction length j the search tries.  On [1e-4, 2**53)
+# it starts at 17 significant digits, so j is at most 20, or 21 where
+# log10 rounds down; 5**21 < 2**52 keeps 2m * 5**j within 106 bits.
+_POW5 = np.array([5 ** j for j in range(22)], dtype=np.uint64)
 # 10**k up to the 16 digits of an integer part below 2**53.
 _POW10 = np.array([10 ** k for k in range(17)], dtype=np.uint64)
 
@@ -56,27 +55,26 @@ def keyed_text(keys: np.ndarray, table: np.ndarray) -> str:
 def time_text(times: np.ndarray, keys: np.ndarray, table: np.ndarray) -> str:
     """repr(times[i]) followed by table entry keys[i], for each row i."""
     exact, c, j = _shortest(times)
-    zero = times.view(np.uint64) == _ZERO
-    exact |= zero
-    c[zero] = _ZERO
-    j[zero] = _ONE
     # c has j fraction digits, and x.0 is written for j = 0.  Below 2**53
     # the integer part of c * 10**-j is that of x: an integer between the
     # two would be a shorter decimal inside x's rounding interval.
-    # whole * 10**j, as whole * 5**j << j, fits: whole > 0 means j <= 17.
+    # whole * 10**j, as whole * 5**j << j, fits: it is at most c.
     whole = np.floor(np.where(exact, times, 0.0)).astype(np.uint64)
     frac = c - ((whole * _POW5.take(j)) << j)
     frac_len = np.where(exact, np.maximum(j, _ONE), _ZERO)
     wi = len(str(int(whole.max())))
     wf = int(frac_len.max())
     head = wi + 1 + wf
+    left = np.flatnonzero(~exact).tolist()
+    reprs = [float.__repr__(x).encode("ascii") for x in times[left].tolist()]
+    width = max([head, *map(len, reprs)])
     # Row k of `char` holds character k of every row's text: the integer
-    # part and the fraction right-aligned in their fields, then the table
-    # entry.  NUL marks a place the row leaves empty; the transposed
-    # bytes, NULs deleted, are the text.
-    char = np.empty((head + table.shape[1], times.size), np.uint8)
-    for q, last, width in ((whole, wi - 1, wi), (frac, head - 1, wf)):
-        for k in range(last, last - width, -1):
+    # part and the fraction right-aligned in their fields, or the repr of
+    # a row left to it, then the table entry.  NUL marks a place the row
+    # leaves empty; the transposed bytes, NULs deleted, are the text.
+    char = np.zeros((width + table.shape[1], times.size), np.uint8)
+    for q, last, digits in ((whole, wi - 1, wi), (frac, head - 1, wf)):
+        for k in range(last, last - digits, -1):
             div = q // _TEN
             char[k] = q - div * _TEN
             q = div
@@ -85,21 +83,10 @@ def time_text(times: np.ndarray, keys: np.ndarray, table: np.ndarray) -> str:
     char[:wi - 1] *= whole >= _POW10[wi - 1:0:-1, None]
     char[wi + 1:head] *= np.arange(wf, dtype=np.uint64)[:, None] >= _U(wf) - frac_len
     char[:head] *= exact
-    np.ascontiguousarray(table.T).take(keys, axis=1, out=char[head:])
-    text = char.T.tobytes().replace(b"\0", b"").decode("ascii")
-    if exact.all():
-        return text
-    # A row left to repr kept only its table entry: its repr goes in
-    # front of that, after the text of every row before it.
-    rows = np.flatnonzero(~exact)
-    lengths = np.count_nonzero(char, axis=0)
-    starts = (np.cumsum(lengths) - lengths)[rows].tolist()
-    pieces, done = [], 0
-    for start, x in zip(starts, times[rows].tolist()):
-        pieces += [text[done:start], float.__repr__(x)]
-        done = start
-    pieces.append(text[done:])
-    return "".join(pieces)
+    for row, text in zip(left, reprs):
+        char[:len(text), row] = np.frombuffer(text, np.uint8)
+    np.ascontiguousarray(table.T).take(keys, axis=1, out=char[width:])
+    return char.T.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _shortest(x: np.ndarray) -> tuple:
@@ -107,14 +94,14 @@ def _shortest(x: np.ndarray) -> tuple:
     fraction digits, the least j for which a decimal lies strictly inside
     x's rounding interval, and c = round(x * 10**j).
 
-    The search starts at 16 significant digits, steps up one digit while
-    no decimal of that length fits, then down while one still does.
-    exact is False outside [1e-4, 2**53), at powers of two (whose interval
-    is lopsided), at an exact tie between two c (repr's rounding decides
-    those), where a decimal lies on the interval's edge at j or j - 1,
-    and past the end of _POW5.  The last two are guards that the range
-    never trips: x is itself a decimal of -q fraction digits, an edge
-    needs 1 - q, and the search stops by -q, below 23.
+    exact is False outside [1e-4, 2**53) and at powers of two (whose
+    interval is lopsided).  The search starts where a decimal always
+    fits and steps down while one still does.  It starts at 17
+    significant digits, j = 16 - floor(log10(x)): their spacing is below
+    x's interval, since 10**-16 < 2**-53.  Where log10 rounds x up to the
+    next power of ten, x > 9.007 * 10**e and 16 digits fit too; where it
+    rounds down, j gives 18.  The start is clamped to s - 1, the fraction
+    digits of x itself, so r >= 1 below.
     """
     exact = (x >= 1e-4) & (x < 2.0 ** 53) & (x.view(np.uint64) & _FRAC_BITS != _ZERO)
     x = np.where(exact, x, 1.5)
@@ -122,33 +109,17 @@ def _shortest(x: np.ndarray) -> tuple:
     # x = m * 2**q with 2**52 <= m < 2**53 and q = biased exponent - 1075.
     m2 = ((bits & _FRAC_BITS) | _HIDDEN_BIT) << _ONE
     s = _U(1076) - (bits >> _U(52))
-    j = (15.0 - np.floor(np.log10(x))).astype(np.uint64)
-    d, p = _gap(m2, s, j)
-    short = d >= p
-    stepped = short.copy()
-    # edge: a decimal on the interval's edge at the last j that failed.
-    edge = d == p
-    while short.any():
-        j += short
-        stuck = short & ((j > _J_MAX) | (j >= s))
-        exact &= ~stuck
-        short &= ~stuck
-        j[stuck] = _ZERO
-        d, p = _gap(m2, s, j)
-        short &= d >= p
-        edge = np.where(short, d == p, edge)
-    exact &= ~edge
-    # A row that stepped up failed at j - 1 already; the others step down.
-    rows = np.flatnonzero(exact & ~stepped & (j > _ZERO))
+    j = np.minimum((16.0 - np.floor(np.log10(x))).astype(np.uint64), s - _ONE)
+    # A decimal on the interval's edge would need r = 0, so d == p cannot
+    # hold at these j; it is refused rather than assumed.
+    rows = np.flatnonzero(exact & (j > _ZERO))
     while rows.size:
         d, p = _gap(m2[rows], s[rows], j[rows] - _ONE)
         exact[rows[d == p]] = False
         rows = rows[d < p]
         j[rows] -= _ONE
         rows = rows[j[rows] > _ZERO]
-    c, tie = _round(m2, s, j)
-    exact &= ~tie
-    return exact, c, j
+    return exact, _round(m2, s, j), j
 
 
 # x * 10**j = N / 2**r with N = 2m * 5**j and r = s - j, s = 1 - q.  A
@@ -168,8 +139,9 @@ def _gap(m2: np.ndarray, s: np.ndarray, j: np.ndarray) -> tuple:
     return np.minimum(rem, mask - rem + _ONE), p
 
 
-def _round(m2: np.ndarray, s: np.ndarray, j: np.ndarray) -> tuple:
-    """(round(N / 2**r), N / 2**r halfway between two integers) of each row."""
+def _round(m2: np.ndarray, s: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """round(N / 2**r) of each row, an exact tie to the even integer as
+    repr rounds it."""
     p = _POW5.take(j)
     r = s - j
     mh, ml = m2 >> _U(32), m2 & _LO32
@@ -179,5 +151,5 @@ def _round(m2: np.ndarray, s: np.ndarray, j: np.ndarray) -> tuple:
     rem = lo & (_ONES >> (_U(64) - r))
     half = _ONE << (r - _ONE)
     c = (hi << (_U(64) - r)) | ((lo >> (r - _ONE)) >> _ONE)
-    c += rem >= half
-    return c, rem == half
+    c += (rem > half) | ((rem == half) & (c & _ONE == _ONE))
+    return c

@@ -160,6 +160,11 @@ class Trajectory:
     log_truncated: bool
 
     def __post_init__(self) -> None:
+        # Checked before the narrowing cast below, which would wrap them.
+        states = np.asarray(self.states)
+        lo, hi = states.min(initial=0), states.max(initial=self.n)
+        if lo < 0 or hi > self.n:
+            raise ValueError(f"states must lie in 0..{self.n}, got {lo if lo < 0 else hi}")
         for name, dtype in (("times", float), ("states", _state_dtype(self.n)),
                             ("restart_flags", bool), ("state_time", float)):
             arr = np.asarray(getattr(self, name), dtype=dtype)
@@ -278,6 +283,14 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
     )
 
 
+def _check_start(p: ModelParams, y0: int) -> int:
+    if not isinstance(y0, (int, np.integer)) or isinstance(y0, bool):
+        raise ValueError(f"initial state must be an integer, got {y0!r}")
+    if not 1 <= y0 <= p.n:
+        raise ValueError(f"initial state must lie in 1..{p.n}, got {y0!r}")
+    return int(y0)
+
+
 def _check_horizon(t_max: float) -> float:
     t_max = float(t_max)
     if not 0 < t_max < math.inf:
@@ -293,13 +306,12 @@ def simulate(p: ModelParams, y0: int, t_max: float, seed: SeedSpec) -> Trajector
 
     Args:
         p: model parameters.
-        y0: initial state in 1..n.
+        y0: initial state, an integer in 1..n.
         t_max: simulation horizon, finite and > 0.
         seed: root seed; this call uses replicate offset 0.
     """
-    if not 1 <= y0 <= p.n:
-        raise ValueError(f"initial state must lie in 1..{p.n}, got {y0!r}")
-    return _run(p, int(y0), _check_horizon(t_max), seed.generator(), restarted=False)
+    return _run(p, _check_start(p, y0), _check_horizon(t_max), seed.generator(),
+                restarted=False)
 
 
 def simulate_restarted(p: ModelParams, t_max: float, seed: SeedSpec) -> Trajectory:
@@ -465,10 +477,9 @@ def conditioned_ensemble(
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
-    if not 1 <= y0 <= p.n:
-        raise ValueError(f"initial state must lie in 1..{p.n}, got {y0!r}")
+    y0 = _check_start(p, y0)
     t_snap = _check_horizon(t_snap)
-    runs = _fan_out(p, int(y0), t_snap, seed, replicates, workers)
+    runs = _fan_out(p, y0, t_snap, seed, replicates, workers)
     return EnsembleResult(
         n=p.n,
         t_snap=t_snap,

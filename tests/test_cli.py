@@ -58,6 +58,20 @@ def test_stationary_hand_values(capsys):
     assert out.endswith("\n")
 
 
+def test_stationary_json_document(capsys):
+    code, out, err = run_cli(capsys, "stationary", "--n", "4", "--r0", "1.5", "--gamma", "2",
+                             "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert list(doc) == ["schema_version", "command", "params", "state", "pi_hat"]
+    p = ModelParams(4, 3.0, 2.0)
+    assert doc["schema_version"] == 1 and doc["command"] == "stationary"
+    assert doc["params"] == {"n": 4, "lambda": 3.0, "gamma": 2.0, "r0": p.r0}
+    assert list(doc["params"]) == ["n", "lambda", "gamma", "r0"]
+    assert doc["state"] == [1, 2, 3, 4]
+    assert doc["pi_hat"] == stationary_distribution(p).tolist()
+
+
 def test_r0_flag_aliases_lambda(capsys):
     _, out_lam, _ = run_cli(capsys, "stationary", "--n", "8", "--lambda", "2", "--gamma", "1")
     _, out_r0, _ = run_cli(capsys, "stationary", "--n", "8", "--r0", "2", "--gamma", "1")
@@ -210,6 +224,15 @@ def test_count_flags_refuse_values_below_one(capsys, command, value, flag):
     assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--replicates", "--workers"])
+@pytest.mark.parametrize("value", ["2.5", "two", ""])
+def test_count_flags_refuse_non_integers(capsys, value, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["extinction-time", "--n", "5", "--r0", "2", "--method", "exact", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+
+
 def test_extinction_time_simulate_requires_seed(capsys):
     code, _, err = run_cli(capsys, "extinction-time", "--n", "2", "--lambda", "1",
                            "--method", "simulate")
@@ -324,6 +347,31 @@ def test_compare_long_format(capsys):
     p = ModelParams(10, 2.0, 1.0)
     assert float(rows[0][3]) == quasi_stationary_distribution(p).qsd[0]
     assert float(rows[1][3]) == math.exp(q1_normal_approx(p).log)
+
+
+def test_compare_json_document(capsys):
+    code, out, err = run_cli(capsys, "compare", "--n-grid", "10,20", "--r0", "2",
+                             "--gamma", "0.5", "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert list(doc) == ["schema_version", "command", "gamma", "lambda", "rows"]
+    assert (doc["schema_version"], doc["command"]) == (1, "compare")
+    assert (doc["gamma"], doc["lambda"]) == (0.5, 1.0)
+    want = []
+    for n in (10, 20):
+        p = ModelParams(n, 1.0, 0.5)
+        q1 = float(quasi_stationary_distribution(p).qsd[0])
+        want += [{"method": "qsd", "n": n, "r0": 2.0, "q1": q1, "log_ET": -math.log(0.5 * q1)},
+                 {"method": "clt", "n": n, "r0": 2.0, "q1": math.exp(q1_normal_approx(p).log),
+                  "log_ET": expected_time_clt(p).log}]
+    assert doc["rows"] == want
+    assert all(list(row) == ["method", "n", "r0", "q1", "log_ET"] for row in doc["rows"])
+
+
+@pytest.mark.parametrize("grid", [",", " , ,"])
+def test_compare_refuses_an_empty_grid(capsys, grid):
+    code, out, err = run_cli(capsys, "compare", "--n-grid", grid, "--r0", "2")
+    assert (code, out, err) == (1, "", "error: empty n-grid\n")
 
 
 def test_compare_single_point_degenerates_to_extinction_time(capsys):
@@ -503,8 +551,8 @@ def test_trajectory_output_bytes_hold_across_chunk_sizes(case, fmt, chunk, tmp_p
     assert os.listdir(tmp_path) == [target.name]
 
 
-# Times that take both paths of the time formatter: +0.0 and 0.1, 0.75,
-# 1.3 and 2**52 + 1 are computed; 3e-05 (below 1e-4), 0.5 and 2**52
+# Times that take both paths of the time formatter: 0.1, 0.75, 1.3 and
+# 2**52 + 1 are computed; +0.0 and 3e-05 (below 1e-4), 0.5 and 2**52
 # (powers of two), and 2**53 and up go to repr.  With chunks of 1, 2, 3
 # and 5 rows, repr rows fall at the start and at the end of chunks.  The
 # export is written to a file and to stdout, the two ends of _write.

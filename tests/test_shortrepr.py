@@ -29,20 +29,37 @@ def _decided(values) -> np.ndarray:
     return _shortrepr._shortest(np.asarray(values, dtype=float))[0]
 
 
-def test_random_bit_patterns_across_the_computed_range():
-    # 2**20 doubles drawn uniformly by bit pattern from [1e-4, 2**53), so
-    # every binary exponent of the range is about equally represented.
-    rng = np.random.default_rng(20181)
-    lo = int(np.float64(1e-4).view(np.uint64))
-    hi = int(np.float64(2.0 ** 53).view(np.uint64))
-    decided = 0
+def _bit_patterns(seed, lo, hi):
+    """16 chunks of 2**16 doubles drawn uniformly by bit pattern from
+    [lo, hi), so every binary exponent there is about equally represented."""
+    rng = np.random.default_rng(seed)
+    lo = int(np.float64(lo).view(np.uint64))
+    hi = int(np.float64(hi).view(np.uint64))
     for _ in range(16):
-        x = rng.integers(lo, hi, 1 << 16, dtype=np.uint64).view(np.float64)
+        yield rng.integers(lo, hi, 1 << 16, dtype=np.uint64).view(np.float64)
+
+
+def test_random_bit_patterns_across_the_computed_range():
+    # The seed draws no power of two, so the search decides every row.
+    for x in _bit_patterns(20181, 1e-4, 2.0 ** 53):
         assert _text(x) == _reference(x)
-        decided += int(_decided(x).sum())
-    # Only exact ties (x * 10**j halfway between two integers, which
-    # needs x above about 1e12 here) are left to repr.
-    assert decided / (16 << 16) > 0.98
+        assert _decided(x).all()
+
+
+def test_random_bit_patterns_where_ties_are_common():
+    # Above 2**45, x * 10**j often lies halfway between two integers that
+    # both fit (11.7% of this draw); repr rounds such a tie to even.
+    for x in _bit_patterns(53, 2.0 ** 45, 2.0 ** 53):
+        assert _text(x) == _reference(x)
+        assert _decided(x).all()
+
+
+def test_doubles_below_powers_of_ten_are_decided():
+    # log10 of the double just below 10**e can round up to e, so the
+    # search starts at 16 significant digits there; they still fit.
+    x = [np.nextafter(10.0 ** e, 0.0) for e in range(-3, 16)]
+    assert _text(x) == _reference(x)
+    assert _decided(x).all()
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -82,11 +99,11 @@ def test_edge_values_match_repr(case):
 
 
 def test_rows_left_to_repr():
-    left = [-0.0, 5e-324, 2.2250738585072014e-308, np.nextafter(1e-4, 0.0), 2.0 ** 53,
-            2.0 ** 60, np.inf, np.nan, -1.5, 0.5, 2.0 ** 20, *_CASES["exact_tie"]]
+    left = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.nextafter(1e-4, 0.0), 2.0 ** 53,
+            2.0 ** 60, np.inf, np.nan, -1.5, 0.5, 2.0 ** 20]
     assert not _decided(left).any()
     computed = [1e-4, 0.1, 0.3, 1000.123, 2.0 ** 53 - 1, 3.0, 123456.789,
-                np.nextafter(2.0 ** 53, 0.0) - 1]
+                np.nextafter(2.0 ** 53, 0.0) - 1, *_CASES["exact_tie"]]
     assert _decided(computed).all()
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -75,6 +76,45 @@ def test_simulate_validation():
         simulate(p, 1, 0.0, SeedSpec(1))
     with pytest.raises(ValueError):
         simulate_restarted(p, -2.0, SeedSpec(1))
+
+
+@pytest.mark.parametrize("y0", [2.7, 3.9, 2.0, np.float64(2.0), True, "2"],
+                         ids=["2.7", "3.9", "float-2.0", "float64-2.0", "True", "str-2"])
+def test_non_integer_start_is_refused(y0):
+    # a float start used to be truncated (2.7 ran from state 2), and True
+    # ran from state 1
+    p = ModelParams(5, 2.0)
+    message = re.escape(f"initial state must be an integer, got {y0!r}")
+    with pytest.raises(ValueError, match=message):
+        simulate(p, y0, 1.0, SeedSpec(1))
+    with pytest.raises(ValueError, match="initial state must be an integer"):
+        conditioned_ensemble(p, 5, 1.0, SeedSpec(1), y0=y0)
+
+
+def test_numpy_integer_start_runs_as_int():
+    p = ModelParams(5, 2.0)
+    a = simulate(p, np.int16(3), 5.0, SeedSpec(4))
+    b = simulate(p, 3, 5.0, SeedSpec(4))
+    assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
+    ens = conditioned_ensemble(p, 20, 1.0, SeedSpec(4), y0=np.int64(3))
+    assert np.array_equal(ens.survivor_states,
+                          conditioned_ensemble(p, 20, 1.0, SeedSpec(4), y0=3).survivor_states)
+
+
+@pytest.mark.parametrize("states, bad", [
+    (np.array([100, 300]), 300),
+    ([100, 300], 300),
+    ([1, 0, -1], -1),
+    (np.array([101], dtype=np.int8), 101),
+], ids=["int64-array", "list", "negative", "int8-array"])
+def test_trajectory_refuses_states_outside_0_to_n(states, bad):
+    # the states [100, 300] of an int64 array used to be stored as int8
+    # [100, 44] next to final_state=300; a list raised numpy's OverflowError
+    with pytest.raises(ValueError, match=rf"states must lie in 0\.\.100, got {bad}$"):
+        Trajectory(n=100, times=np.arange(len(states), dtype=float), states=states,
+                   restart_flags=[False] * len(states), t_end=5.0,
+                   state_time=[0.0] * 101, n_events=len(states) - 1, n_restarts=0,
+                   final_state=300, log_truncated=False)
 
 
 @pytest.mark.parametrize("horizon", [math.inf, math.nan])

@@ -208,6 +208,12 @@ def test_propagators_refuse_undefined_times(t):
         conditioned_distribution(p, t, 1)
 
 
+@pytest.mark.parametrize("i", [0, 7])
+def test_conditioned_distribution_refuses_start_outside_1_to_n(i):
+    with pytest.raises(ValueError, match=rf"^state must lie in 1\.\.6, got {i}$"):
+        conditioned_distribution(ModelParams(6, 1.5, 1.0), 1.0, i)
+
+
 def test_propagators_at_infinite_time():
     # exp(Q t) -> 0 is the exact limit; conditioning on survival is not
     p = ModelParams(6, 1.5, 1.0)
