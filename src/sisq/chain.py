@@ -25,7 +25,13 @@ __all__ = [
     "birth_rate",
     "death_rate",
     "build_transient_generator",
+    "check_state",
 ]
+
+
+def _is_integer(x) -> bool:
+    """True for a Python or numpy integer; bool, a float and a string are not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,7 @@ class ModelParams:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
+        if not _is_integer(self.n):
             raise ValueError(f"population size must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"population size must be >= 1, got {self.n}")
@@ -70,6 +76,21 @@ class ModelParams:
     def r0(self) -> float:
         """Basic reproduction number lambda/gamma."""
         return self.lam / self.gamma
+
+
+def check_state(p: ModelParams, i: int, what: str = "state") -> int:
+    """A transient state i in 1..n given from outside, as an int.
+
+    Refused with ValueError, `what` naming it, unless it is an integer
+    (bool excluded) in 1..n: a float such as 2.0 would index as another
+    state, or not at all, and True would run as state 1.
+    """
+    if not _is_integer(i):
+        raise ValueError(f"{what} must be an integer, got {i!r}")
+    i = int(i)
+    if not 1 <= i <= p.n:
+        raise ValueError(f"{what} must lie in 1..{p.n}, got {i}")
+    return i
 
 
 def birth_rate(i: int, p: ModelParams) -> float:

@@ -46,12 +46,12 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 
-from sisq.chain import ModelParams, birth_rate, death_rate
+from sisq.chain import ModelParams, birth_rate, check_state, death_rate
 from sisq.stationary import check_probability_vector, log_stationary_weights
 
 __all__ = [
@@ -283,14 +283,6 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
     )
 
 
-def _check_start(p: ModelParams, y0: int) -> int:
-    if not isinstance(y0, (int, np.integer)) or isinstance(y0, bool):
-        raise ValueError(f"initial state must be an integer, got {y0!r}")
-    if not 1 <= y0 <= p.n:
-        raise ValueError(f"initial state must lie in 1..{p.n}, got {y0!r}")
-    return int(y0)
-
-
 def _check_horizon(t_max: float) -> float:
     t_max = float(t_max)
     if not 0 < t_max < math.inf:
@@ -310,8 +302,8 @@ def simulate(p: ModelParams, y0: int, t_max: float, seed: SeedSpec) -> Trajector
         t_max: simulation horizon, finite and > 0.
         seed: root seed; this call uses replicate offset 0.
     """
-    return _run(p, _check_start(p, y0), _check_horizon(t_max), seed.generator(),
-                restarted=False)
+    return _run(p, check_state(p, y0, "initial state"), _check_horizon(t_max),
+                seed.generator(), restarted=False)
 
 
 def simulate_restarted(p: ModelParams, t_max: float, seed: SeedSpec) -> Trajectory:
@@ -392,6 +384,10 @@ def _fan_out(p: ModelParams, start, t_stop: float, seed: SeedSpec,
     """_chunk over all replicates, in replicate order.
 
     Runs on min(workers, CPU count, replicates) processes; 1 runs serially.
+    The pool is looked up on `futures` only when one starts, so the pool
+    code (multiprocessing, concurrent.futures.process) is imported on the
+    first run with more than one process, never by a command that runs
+    serially.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
@@ -400,7 +396,7 @@ def _fan_out(p: ModelParams, start, t_stop: float, seed: SeedSpec,
         return _chunk((p, start, t_stop, seed, 0, replicates))
     edges = np.linspace(0, replicates, procs + 1).astype(int).tolist()
     args = [(p, start, t_stop, seed, lo, hi) for lo, hi in zip(edges, edges[1:])]
-    with ProcessPoolExecutor(max_workers=procs) as pool:
+    with futures.ProcessPoolExecutor(max_workers=procs) as pool:
         return [x for part in pool.map(_chunk, args) for x in part]
 
 
@@ -477,7 +473,7 @@ def conditioned_ensemble(
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
-    y0 = _check_start(p, y0)
+    y0 = check_state(p, y0, "initial state")
     t_snap = _check_horizon(t_snap)
     runs = _fan_out(p, y0, t_snap, seed, replicates, workers)
     return EnsembleResult(

@@ -23,13 +23,15 @@ eigensolver returns pure rounding noise.  The full decomposition, needed
 only for propagators and identity checks at modest n, is delegated to
 scipy's eigh_tridiagonal, whose default driver picks LAPACK's
 divide-and-conquer stevd for a full spectrum; scipy.linalg is imported
-there, so only the dense route loads it.  stevd's own n x n workspace
-sits beside the n x n basis it returns, so a cold dense call peaks at
-about 2 n^2 doubles whatever order the propagator is assembled in.  The
-driver is left at scipy's default because another one would round every
-dense row differently.  The route's one limit is that every
-normalized detailed-balance weight must be a nonzero double, which no n
-above about 2,030 meets at any R0.
+there, so only the dense route loads it.  One basis of n^2 doubles stays
+resident, for the last parameter set asked for; it is dropped before the
+eigensolve for another set starts.  stevd's own n x n workspace sits
+beside the n x n basis it returns, so a cold dense call peaks at about
+2 n^2 doubles whatever was cached before and whatever order the
+propagator is assembled in.  The driver is left at scipy's default
+because another one would round every dense row differently.  The
+route's one limit is that every normalized detailed-balance weight must
+be a nonzero double, which no n above about 2,030 meets at any R0.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
-from sisq.chain import ModelParams, build_transient_generator
+from sisq.chain import ModelParams, build_transient_generator, check_state
 from sisq.stationary import log_stationary_weights
 
 __all__ = [
@@ -330,16 +332,26 @@ def full_decomposition(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return evals[::-1], evecs[:, ::-1]
 
 
-# One basis: every caller walks t for one parameter set at a time.
-@lru_cache(maxsize=1)
+# One slot, keyed by the parameters: every caller walks t for one
+# parameter set at a time.  A miss empties it before the eigensolve, so
+# one basis of n^2 doubles stays resident, and a cold call peaks at
+# stevd's own 2 n^2 doubles whatever was cached before; lru_cache would
+# evict the old basis only after the new one was built, 3 n^2 at the peak.
+_parts: dict[ModelParams, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
 def _propagator_parts(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached (eigenvalues, basis, sqrt of the weights W) for exp(Q t)."""
-    evals, basis = full_decomposition(p)
-    lw = log_stationary_weights(p)
-    sqw = np.exp(0.5 * (lw - lw.max()))
-    for arr in (evals, basis, sqw):
-        arr.flags.writeable = False
-    return evals, basis, sqw
+    parts = _parts.get(p)
+    if parts is None:
+        _parts.clear()
+        evals, basis = full_decomposition(p)
+        lw = log_stationary_weights(p)
+        sqw = np.exp(0.5 * (lw - lw.max()))
+        for arr in (evals, basis, sqw):
+            arr.flags.writeable = False
+        parts = _parts[p] = (evals, basis, sqw)
+    return parts
 
 
 def _propagate(p: ModelParams, t: float, rows: int | slice) -> np.ndarray:
@@ -368,9 +380,7 @@ def transition_matrix(p: ModelParams, t: float) -> np.ndarray:
 
 def conditioned_distribution(p: ModelParams, t: float, i: int) -> np.ndarray:
     """Distribution of Y(t) given survival to t and Y(0) = i; sums to 1."""
-    if not 1 <= i <= p.n:
-        raise ValueError(f"state must lie in 1..{p.n}, got {i}")
-    row = _propagate(p, t, i - 1)
+    row = _propagate(p, t, check_state(p, i) - 1)
     total = row.sum()
     if total <= 0.0:
         raise ValueError(f"survival probability underflowed at t={t!r}")

@@ -926,6 +926,27 @@ def test_cli_import_leaves_lapack_unloaded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_serial_commands_leave_pool_code_unloaded():
+    # Only a fan-out over more than one process needs the pool machinery.
+    src = str(Path(sisq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import contextlib, io, sys, sisq.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [sisq.cli.main(['qsd', '--n', '50', '--r0', '2']),\n"
+        "             sisq.cli.main(['extinction-time', '--n', '50', '--r0', '2',\n"
+        "                            '--method', 'exact,qsd,clt'])]\n"
+        "print(codes, sorted({'multiprocessing', 'concurrent.futures.process'}\n"
+        "                    & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0] []\n", "")
+
+
 def test_cli_entrypoint_subprocess():
     # the child imports the same sisq checkout as this process
     src = str(Path(sisq.__file__).resolve().parents[1])

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -484,7 +485,7 @@ def test_workers_are_validated_and_capped(monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(sim_module, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sim_module, "futures", SimpleNamespace(ProcessPoolExecutor=InlinePool))
     monkeypatch.setattr(sim_module.os, "cpu_count", lambda: 4)
     p = ModelParams(20, 2.0, 1.0)
     p2 = ModelParams(2, 1.0, 1.0)

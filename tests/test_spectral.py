@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 
@@ -214,6 +215,22 @@ def test_conditioned_distribution_refuses_start_outside_1_to_n(i):
         conditioned_distribution(ModelParams(6, 1.5, 1.0), 1.0, i)
 
 
+@pytest.mark.parametrize("i", [True, 2.0, 2.5, np.float64(3.0), "2"],
+                         ids=["True", "float-2.0", "2.5", "float64-3.0", "str-2"])
+def test_conditioned_distribution_refuses_non_integer_start(i):
+    # True used to run as state 1, and 2.0 and 2.5 raised an unnamed
+    # IndexError from the row lookup
+    message = re.escape(f"state must be an integer, got {i!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        conditioned_distribution(ModelParams(6, 1.5, 1.0), 1.0, i)
+
+
+def test_conditioned_distribution_takes_numpy_integer_start():
+    p = ModelParams(6, 1.5, 1.0)
+    assert np.array_equal(conditioned_distribution(p, 1.0, np.int64(4)),
+                          conditioned_distribution(p, 1.0, 4))
+
+
 def test_propagators_at_infinite_time():
     # exp(Q t) -> 0 is the exact limit; conditioning on survival is not
     p = ModelParams(6, 1.5, 1.0)
@@ -267,7 +284,7 @@ def test_cold_row_keeps_one_dense_matrix():
     # the cache holds the orthonormal basis and O(n) vectors, and building
     # it never holds more than the eigensolver's output plus a little
     p = ModelParams(400, 2.0)
-    sisq.spectral._propagator_parts.cache_clear()
+    sisq.spectral._parts.clear()
     tracemalloc.start()
     try:
         conditioned_distribution(p, 1.0, 1)
@@ -277,6 +294,23 @@ def test_cold_row_keeps_one_dense_matrix():
     n2 = 8 * p.n**2
     assert retained <= 1.25 * n2
     assert peak <= 2.5 * n2
+
+
+def test_cold_call_at_new_parameters_drops_the_old_basis():
+    # the basis cached for one parameter set is released before the
+    # eigensolve for the next allocates its own, so a cold call peaks at
+    # the solver's two n x n arrays, not those plus the old basis
+    a, b = ModelParams(400, 2.0), ModelParams(400, 2.5)
+    conditioned_distribution(ModelParams(3, 2.0), 1.0, 1)  # scipy.linalg loaded
+    tracemalloc.start()
+    try:
+        conditioned_distribution(a, 1.0, 1)
+        tracemalloc.reset_peak()
+        conditioned_distribution(b, 1.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * b.n**2
 
 
 def test_conditioned_distribution_rows_sum_to_one():
