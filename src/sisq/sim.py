@@ -15,10 +15,11 @@ numpy then gives the block its clocks (one cumulative sum), its
 occupancy (one `np.add.at`) and the row where the horizon falls (one
 `searchsorted`).  Each of these adds in the order a per-event loop
 would, so every double is the one such a loop computes.  Each block's
-rows are kept as arrays, states at the narrowest signed integer type
-that holds n, and joined after the run, so the log peaks near 18 B a row
-against 10 B (n <= 127) or 11 B (n <= 32,767) once recorded.  `_jump`
-is the lean sampler behind `conditioned_ensemble` and
+rows are appended in place to growable columns (`array.array`), states
+at the narrowest signed integer type that holds n, and the Trajectory
+gets views of them.  The log is never joined or copied, so it peaks near
+what it holds once recorded: 10 B a row (n <= 127) or 11 B (n <= 32,767).
+`_jump` is the lean sampler behind `conditioned_ensemble` and
 `extinction_time_samples`: it keeps nothing but the state and the clock,
 and stops at absorption or once the clock reaches t_stop (infinite for
 extinction times).  It keeps no log, so it has no bookkeeping to move
@@ -44,6 +45,7 @@ identical to a serial run.
 
 from __future__ import annotations
 
+import array
 import math
 import os
 from concurrent import futures
@@ -71,11 +73,12 @@ __all__ = [
 # recording individual events; occupancy and counters stay exact.  A row
 # costs 10 B in the finished Trajectory for n <= 127 and 11 B up to
 # n = 32,767: a double, the state at the narrowest signed integer type
-# that holds n (_state_dtype), and a flag.  _run peaks at 17-18 B a row,
-# while it joins the time column (tracemalloc, CPython 3.11, at n = 100
-# and n = 1000).  So a full log peaks near 0.18 GB and then holds
-# 100-110 MB; the CLI export adds one chunk of text and its temporaries
-# (about 2.5 MB) whatever the length.
+# that holds n (_state_dtype), and a flag.  _run records the log in
+# place, so it peaks near that: 10.0 B a row at n = 100 and 11.1 B at
+# n = 1000 (tracemalloc, CPython 3.11).  A plain n = 1000 run that fills
+# the cap peaked at 160 MB resident, 106 MB above the 54 MB of an
+# imported sisq.cli (x86-64 Linux, numpy 2.4); the CLI export adds one
+# chunk of text and its temporaries (about 2.5 MB) whatever the length.
 MAX_LOGGED_EVENTS = 10**7
 
 _BLOCK = 1024
@@ -194,9 +197,9 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
     births, totals = _rates(p)
     total_arr = np.array(totals)
     narrow = _state_dtype(p.n)
-    # The log, one array per draw block; the initial row is the first.
-    time_parts = [np.zeros(1)]
-    state_parts = [np.array([y0], dtype=narrow)]
+    # The log, grown in place once per draw block from the initial row.
+    times = array.array("d", [0.0])
+    states = array.array(narrow.char, [y0])  # numpy's char is array's code
     room = MAX_LOGGED_EVENTS  # rows past the initial one still to log
     state_time = np.zeros(p.n + 1)
     state = y0
@@ -259,21 +262,20 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
         if kept:
             room -= kept
             # A restart row shares the clock of the absorption row before it.
-            time_parts.append(clocks[np.cumsum(prev[:kept] != 0) - 1])
-            state_parts.append(rows[:kept])
-    # One column at a time, each freeing its parts, so that the join holds
-    # at most two 8-byte copies of a row.
-    times_arr = np.concatenate(time_parts)
-    del time_parts
-    states_arr = np.concatenate(state_parts)
-    del state_parts
+            # frombytes reads a column's buffer, in byte-sized items only.
+            times.frombytes(clocks[np.cumsum(prev[:kept] != 0) - 1].view(np.uint8))
+            states.frombytes(rows[:kept].view(np.uint8))
+    # Views of the columns, not copies.  A restart row is exactly a row
+    # whose previous row is at state 0: plain runs stop there, and a
+    # truncated log is a prefix.
+    states_arr = np.frombuffer(states, dtype=narrow)
+    flags = np.zeros(states_arr.size, dtype=bool)
+    np.equal(states_arr[:-1], 0, out=flags[1:])
     return Trajectory(
         n=p.n,
-        times=times_arr,
+        times=np.frombuffer(times),
         states=states_arr,
-        # A restart row is exactly a row whose previous row is at state 0:
-        # plain runs stop there, and a truncated log is a prefix.
-        restart_flags=np.concatenate(([False], states_arr[:-1] == 0)),
+        restart_flags=flags,
         t_end=t,
         state_time=state_time,
         n_events=n_events,
@@ -383,15 +385,21 @@ def _fan_out(p: ModelParams, start, t_stop: float, seed: SeedSpec,
              replicates: int, workers: int) -> list:
     """_chunk over all replicates, in replicate order.
 
-    Runs on min(workers, CPU count, replicates) processes; 1 runs serially.
-    The pool is looked up on `futures` only when one starts, so the pool
-    code (multiprocessing, concurrent.futures.process) is imported on the
-    first run with more than one process, never by a command that runs
-    serially.
+    Runs on min(workers, usable CPUs, replicates) processes; 1 runs
+    serially.  The usable CPUs are the ones this process may run on (its
+    affinity mask, which a cpuset or taskset narrows), or the host's CPU
+    count where the platform has no affinity call.  The pool is looked up
+    on `futures` only when one starts, so the pool code (multiprocessing,
+    concurrent.futures.process) is imported on the first run with more
+    than one process, never by a command that runs serially.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    procs = min(workers, os.cpu_count() or 1, replicates)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    procs = min(workers, cpus, replicates)
     if procs == 1:
         return _chunk((p, start, t_stop, seed, 0, replicates))
     edges = np.linspace(0, replicates, procs + 1).astype(int).tolist()
@@ -468,8 +476,8 @@ def conditioned_ensemble(
 
     Args:
         workers: process count for replicate-level parallelism, >= 1 and
-            capped at the CPU count; 1 runs serially.  Results are
-            identical either way.
+            capped at the number of CPUs this process may run on; 1
+            runs serially.  Results are identical either way.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
@@ -532,8 +540,8 @@ def extinction_time_samples(
     Args:
         init: distribution over states 1..n (entry k is state k + 1).
         workers: process count for replicate-level parallelism, >= 1 and
-            capped at the CPU count; 1 runs serially.  Results are
-            identical either way.
+            capped at the number of CPUs this process may run on; 1
+            runs serially.  Results are identical either way.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")

@@ -13,13 +13,16 @@ the sweep as it stood when it read each term back from a numpy array;
 jump_reference and run_reference, the Gillespie loops as they stood when
 each event indexed into a block of draws turned into Python lists; and
 trajectory_output_reference, the trajectory export as it stood when it
-built the whole file as one string.
+built the whole file as one string.  assert_same_rows compares texts as
+long as such an export.
 """
 
+import itertools
 import json
 import math
 
 import numpy as np
+import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import sisq.cli as cli
@@ -340,3 +343,15 @@ def trajectory_output_reference(args, tr: sim.Trajectory) -> str:
                               ("restart_flag", int.__repr__, flags))
     )
     return head[:-2] + columns + "\n}\n"
+
+
+def assert_same_rows(got: str, want: str) -> None:
+    """got == want, reported as the first row that differs.
+
+    A bare == on texts of a megabyte or more would make pytest build a
+    diff of the whole text when they differ, which takes minutes.
+    """
+    if got != want:
+        rows = itertools.zip_longest(got.split("\n"), want.split("\n"))
+        k, (g, w) = next((k, r) for k, r in enumerate(rows) if r[0] != r[1])
+        pytest.fail(f"row {k}: got {g!r}, want {w!r}", pytrace=False)

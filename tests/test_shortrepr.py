@@ -5,10 +5,9 @@ cases below also check that no input, NaN, infinities and subnormals
 included, makes the formatter warn (log10 of 0, say).
 """
 
-import itertools
-
 import numpy as np
 import pytest
+from _oracles import assert_same_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,18 +23,6 @@ def _text(values) -> str:
 
 def _reference(values) -> str:
     return "".join(float.__repr__(v) + "\n" for v in np.asarray(values, dtype=float).tolist())
-
-
-def _assert_same_rows(got: str, want: str) -> None:
-    """got == want, reported as the first row that differs.
-
-    A bare == on whole-chunk texts (about 1.3 MB) would make pytest build
-    a diff of the whole text when they differ, which takes minutes.
-    """
-    if got != want:
-        rows = itertools.zip_longest(got.split("\n"), want.split("\n"))
-        k, (g, w) = next((k, r) for k, r in enumerate(rows) if r[0] != r[1])
-        pytest.fail(f"row {k}: got {g!r}, want {w!r}", pytrace=False)
 
 
 def _decided(values) -> np.ndarray:
@@ -56,7 +43,7 @@ def _bit_patterns(seed, lo, hi):
 def test_random_bit_patterns_across_the_computed_range():
     # The seed draws no power of two, so the search decides every row.
     for x in _bit_patterns(20181, 1e-4, 2.0 ** 53):
-        _assert_same_rows(_text(x), _reference(x))
+        assert_same_rows(_text(x), _reference(x))
         assert _decided(x).all()
 
 
@@ -64,7 +51,7 @@ def test_random_bit_patterns_where_ties_are_common():
     # Above 2**45, x * 10**j often lies halfway between two integers that
     # both fit (11.7% of this draw); repr rounds such a tie to even.
     for x in _bit_patterns(53, 2.0 ** 45, 2.0 ** 53):
-        _assert_same_rows(_text(x), _reference(x))
+        assert_same_rows(_text(x), _reference(x))
         assert _decided(x).all()
 
 
@@ -72,14 +59,14 @@ def test_doubles_below_powers_of_ten_are_decided():
     # log10 of the double just below 10**e can round up to e, so the
     # search starts at 16 significant digits there; they still fit.
     x = [np.nextafter(10.0 ** e, 0.0) for e in range(-3, 16)]
-    _assert_same_rows(_text(x), _reference(x))
+    assert_same_rows(_text(x), _reference(x))
     assert _decided(x).all()
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
 def test_any_finite_doubles(values):
-    _assert_same_rows(_text(values), _reference(values))
+    assert_same_rows(_text(values), _reference(values))
 
 
 _POWERS_OF_TEN = [10.0 ** e for e in range(-8, 23)]
@@ -107,9 +94,9 @@ _CASES = {
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_edge_values_match_repr(case):
     values = _CASES[case]
-    _assert_same_rows(_text(values), _reference(values))
+    assert_same_rows(_text(values), _reference(values))
     # One row at a time, so that each value is alone in its chunk.
-    _assert_same_rows("".join(_text([v]) for v in values), _reference(values))
+    assert_same_rows("".join(_text([v]) for v in values), _reference(values))
 
 
 def test_rows_left_to_repr():

@@ -246,9 +246,9 @@ def test_truncated_log_is_a_prefix_of_the_full_log(monkeypatch, cap):
 
 @pytest.mark.parametrize("cap", [1023, 1024, 1025, 2047, 2048])
 def test_log_cap_at_the_real_block_size(monkeypatch, cap):
-    # _run moves its log into arrays once per 1024-draw block, so these
-    # caps cut the log next to the first and second move.  About 3,800
-    # rows with about 400 restarts.
+    # _run extends its log once per 1024-draw block, so these caps cut the
+    # log next to the first and second extension.  About 3,800 rows with
+    # about 400 restarts.
     p, t_max, seed = ModelParams(5, 1.5), 1000.0, 1
     full = simulate_restarted(p, t_max, SeedSpec(seed))
     assert full.times.size > 3000 and full.n_restarts > 100
@@ -261,6 +261,30 @@ def test_log_cap_at_the_real_block_size(monkeypatch, cap):
     _assert_kernels_match_reference(p, seed, "restarted", 1, t_max)
 
 
+def test_log_cap_where_the_log_grows(monkeypatch):
+    # _run grows its log columns at the end of each draw block.  These caps
+    # cut the log on and next to the end of the first block, of the first
+    # block past 65,536 rows, and at 65,536 itself.  About 114k rows with
+    # about 14k restarts.
+    p, t_max, seed = ModelParams(5, 1.5), 3e4, 1
+    full = simulate_restarted(p, t_max, SeedSpec(seed))
+    assert full.times.size > 100_000 and full.n_restarts > 10_000
+    _assert_kernels_match_reference(p, seed, "restarted", 1, t_max)
+    # The last row of each block: its last jump, or the restart row after it.
+    ends = _jump_rows(full)[sim_module._BLOCK - 1::sim_module._BLOCK]
+    ends += full.states[ends] == 0
+    grown = (int(ends[0]), int(ends[ends > 65_536][0]), 65_536)
+    for cap in sorted(c + d for c in grown for d in (-1, 0, 1)):
+        monkeypatch.setattr(sim_module, "MAX_LOGGED_EVENTS", cap)
+        cut = simulate_restarted(p, t_max, SeedSpec(seed))
+        assert cut.log_truncated and cut.states.dtype == np.int8
+        for name in ("times", "states", "restart_flags"):
+            col = getattr(cut, name)
+            assert col.size == cap + 1 and not col.flags.writeable, (cap, name)
+            assert np.array_equal(col, getattr(full, name)[:cap + 1]), (cap, name)
+        assert (cut.n_events, cut.n_restarts) == (full.n_events, full.n_restarts)
+
+
 @pytest.mark.parametrize("restarted, n, y0, horizons", [
     (True, 100, 1, (500.0, 1000.0)),
     (False, 1000, 500, (50.0, 100.0)),
@@ -269,8 +293,10 @@ def test_run_memory_per_logged_row(restarted, n, y0, horizons):
     # Marginal tracemalloc peak of _run between two horizons, of about
     # 50k and 100k rows.  Keeping the whole log in lists until the end cost
     # 59 B a row at n = 100 (states are cached small ints) and 91 B at
-    # n = 1000; 8-byte block arrays cost about 24 B.  With each block's
-    # states at the narrowest type that holds n it costs about 18 B.
+    # n = 1000; 8-byte block arrays joined at the end cost about 24 B, and
+    # 17.0 and 18.3 B with each block's states at the narrowest type that
+    # holds n.  Recorded in place, with no join, it costs 10.0 and 11.1 B,
+    # about what the finished Trajectory holds.
     p = ModelParams(n, 2.0)
     rows, peaks = [], []
     for t_max in horizons:
@@ -282,7 +308,7 @@ def test_run_memory_per_logged_row(restarted, n, y0, horizons):
             tracemalloc.stop()
         rows.append(tr.times.size)
     assert rows[1] - rows[0] > 40_000
-    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 21, (rows, peaks)
+    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 14, (rows, peaks)
 
 
 def _jump_rows(tr: Trajectory) -> np.ndarray:
@@ -486,7 +512,9 @@ def test_workers_are_validated_and_capped(monkeypatch):
             return map(fn, iterable)
 
     monkeypatch.setattr(sim_module, "futures", SimpleNamespace(ProcessPoolExecutor=InlinePool))
-    monkeypatch.setattr(sim_module.os, "cpu_count", lambda: 4)
+    # The usable CPUs cap the pool, here 4 of the host's 8.
+    monkeypatch.setattr(sim_module.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(sim_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     p = ModelParams(20, 2.0, 1.0)
     p2 = ModelParams(2, 1.0, 1.0)
     q = quasi_stationary_distribution(p2).qsd
@@ -503,7 +531,15 @@ def test_workers_are_validated_and_capped(monkeypatch):
     ext_serial = extinction_time_samples(p2, 10, SeedSpec(5), q)
     ext_capped = extinction_time_samples(p2, 10, SeedSpec(5), q, workers=100000)
     assert np.array_equal(ext_serial.times, ext_capped.times)
-    assert sizes == [4, 3, 4]
+    # An affinity mask narrower than the request: 2 of 8 CPUs, as under
+    # taskset or a cpuset.  Without an affinity call the CPU count caps.
+    monkeypatch.setattr(sim_module.os, "sched_getaffinity", lambda pid: {2, 5})
+    narrowed = conditioned_ensemble(p, 10, 1.0, SeedSpec(5), workers=8)
+    monkeypatch.delattr(sim_module.os, "sched_getaffinity")
+    host = conditioned_ensemble(p, 10, 1.0, SeedSpec(5), workers=100000)
+    for run in (narrowed, host):
+        assert np.array_equal(serial.survivor_states, run.survivor_states)
+    assert sizes == [4, 3, 4, 2, 8]
 
 
 def test_standard_error_degenerate():
