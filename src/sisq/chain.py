@@ -6,10 +6,9 @@ and state 0 (disease extinct) is absorbing.  The generator restricted to
 the transient states {1, ..., n} is tridiagonal and is the object every
 downstream module works with; it is kept in banded form so that rate
 queries stay O(1) and memory stays O(n) even for very large populations.
-Dense matrices are only ever materialized by the spectral module, which
-refuses one when a normalized detailed-balance weight underflows double
-precision (no n above about 2,030 at any R0); that weight-span rule is
-its only limit.
+Dense matrices are only ever materialized by the spectral module, whose
+only limit is that it refuses one where stationary_distribution(p) has a
+zero entry.
 """
 
 from __future__ import annotations

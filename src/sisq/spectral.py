@@ -11,27 +11,27 @@ Two solvers live here.  The dominant pair is computed by a flux-form
 recurrence plus bisection on the decay rate theta = -lambda1: summing the
 left-eigenvector equations telescopes them into an all-positive recurrence
 whose last residual changes sign exactly at theta.  The bisection runs in
-two phases: a binary search over the exponent k finds the factor-2
-bracket [gamma / 2^k, gamma / 2^(k-1)] around theta, bounded below by the
+two phases: a binary search over the exponent k finds the factor-2 bracket
+[gamma / 2^k, gamma / 2^(k-1)] around theta, bounded below by the
 theta = 0 sweep, and a geometric bisection then narrows it.  The bracket
 is exactly the one a halving walk down from gamma would reach, so the
-search only saves sweeps and never moves a bit of the result.  Because no
-cancellation ever occurs, lambda1 and the head of the eigenvector retain
-full relative accuracy even when |lambda1| is hundreds of orders of
-magnitude below the matrix norm, a regime where any residual-based
-eigensolver returns pure rounding noise.  The full decomposition, needed
-only for propagators and identity checks at modest n, is delegated to
-scipy's eigh_tridiagonal, whose default driver picks LAPACK's
-divide-and-conquer stevd for a full spectrum; scipy.linalg is imported
-there, so only the dense route loads it.  One basis of n^2 doubles stays
-resident, for the last parameter set asked for; it is dropped before the
-eigensolve for another set starts.  stevd's own n x n workspace sits
-beside the n x n basis it returns, so a cold dense call peaks at about
-2 n^2 doubles whatever was cached before and whatever order the
-propagator is assembled in.  The driver is left at scipy's default
-because another one would round every dense row differently.  The
-route's one limit is that every normalized detailed-balance weight must
-be a nonzero double, which no n above about 2,030 meets at any R0.
+search only saves sweeps and never moves a bit of the result.  Below
+theta ~ 1e-154 the bisection stops early (see _solve_dominant_flux).
+Because no cancellation ever occurs, lambda1 and the head of the
+eigenvector retain full relative accuracy even when |lambda1| is hundreds
+of orders of magnitude below the matrix norm, a regime where any
+residual-based eigensolver returns pure rounding noise.  The full
+decomposition, needed only for propagators and identity checks at modest
+n, is delegated to scipy's eigh_tridiagonal, whose default driver picks
+LAPACK's divide-and-conquer stevd for a full spectrum; scipy.linalg is
+imported there, so only the dense route loads it.  One basis of n^2
+doubles stays resident, for the last parameter set asked for; it is
+dropped before the eigensolve for another set starts.  stevd's own n x n
+workspace sits beside the n x n basis it returns, so a cold dense call
+peaks at about 2 n^2 doubles whatever was cached before and whatever order
+the propagator is assembled in.  The driver is left at scipy's default
+because another one would round every dense row differently.  The dense
+route is refused where stationary_distribution(p) has a zero entry.
 """
 
 from __future__ import annotations
@@ -42,10 +42,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from sisq.chain import ModelParams, build_transient_generator, check_state
-from sisq.stationary import log_stationary_weights
+from sisq.stationary import log_stationary_weights, stationary_distribution
 
 __all__ = [
     "ConvergenceError",
@@ -98,14 +97,14 @@ def _log_flux_sum_at_zero(p: ModelParams) -> float:
 
     The theta = 0 sweep dominates every other trial value entry-wise, so
     it certifies that the double-precision bisection below cannot
-    overflow mid-sweep.  In closed form its terms are
-    v_j = w_j * (1 + sum_{k<j} gamma / (b_k * w_k)) with w the
-    detailed-balance weights (w_1 = 1) and b_k the birth rates, so S(0) is
-    a running logaddexp and one log-sum-exp over log_stationary_weights.
+    overflow mid-sweep.  With w the detailed-balance weights (w_1 = 1),
+    S(0) = sum_j w_j * sum_{k<=j} 1 / (k * w_k), which is gamma times the
+    mean absorption time from state n (Karlin & McGregor 1957); its terms
+    come from the log-weights alone, as a running logaddexp and one
+    log-sum-exp.
     """
     lw = log_stationary_weights(p)
-    g = build_transient_generator(p)
-    terms = np.concatenate(([0.0], math.log(p.gamma) - np.log(g.upper) - lw[:-1]))
+    terms = -np.log(np.arange(1.0, p.n + 1)) - lw
     # numpy's reduce rather than scipy's logsumexp: every QSD solve runs
     # this, and the first logsumexp call in a process maps in ~0.45 MB of
     # code (scipy 1.17, x86-64 Linux).
@@ -156,7 +155,11 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
 
     Two phases.  The first brackets theta* between gamma / 2^k and
     gamma / 2^(k-1) for the smallest k >= 1 whose sweep lies below the
-    rate.  The second bisects that bracket geometrically to _BRACKET_RTOL.
+    rate.  The second bisects that bracket geometrically to _BRACKET_RTOL,
+    or until the midpoint sqrt(lo * hi) leaves it: once the scaled theta*
+    is below about 1e-154 the product is subnormal, and below about
+    1.6e-162 no step runs.  The polished theta there is still within
+    1e-13 of the sign change, as the tests check from (450, 5) up.
     Neither keeps a sweep's terms: one more sweep at the accepted lower
     end forms the eigenvector, and theta is polished to gamma / S_n.
 
@@ -311,18 +314,15 @@ def full_decomposition(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     the orthonormal eigenvectors (to 1e-10, LAPACK) as the columns of
     basis, in the same order.
 
-    Refused with ValueError when a normalized detailed-balance weight
-    underflows double precision, before any O(n^2) allocation.  That is
-    the dense route's only limit: the largest accepted n is 439 at
-    R0 = 0.5, 778 at 1.05, 891 at 1.2, 1488 at 2 and 925 at 5.  No n
-    above about 2,030 is accepted at any R0 (that one near R0 = e),
-    because the log-weights span at least about n/e nats and exp
-    underflows past 745.
+    Refused with ValueError where stationary_distribution(p) has a zero
+    entry, before any O(n^2) allocation.  That is the dense route's only
+    limit: the largest accepted n is 439 at R0 = 0.5, 778 at 1.05, 891 at
+    1.2, 1488 at 2 and 925 at 5.  No n above about 2,030 is accepted at
+    any R0 (that one near R0 = e), because the log-weights span at least
+    about n/e nats and exp underflows past 745.
     """
     from scipy.linalg import eigh_tridiagonal
-    lw = log_stationary_weights(p)
-    lw = lw - lw.max()
-    if not np.all(np.exp(lw - logsumexp(lw)) > 0.0):
+    if not np.all(stationary_distribution(p) > 0.0):
         raise ValueError(
             "detailed-balance weight span exceeds double precision; the dense "
             "spectral route is unavailable at these parameters"
@@ -337,21 +337,7 @@ def full_decomposition(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 # one basis of n^2 doubles stays resident, and a cold call peaks at
 # stevd's own 2 n^2 doubles whatever was cached before; lru_cache would
 # evict the old basis only after the new one was built, 3 n^2 at the peak.
-_parts: dict[ModelParams, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _propagator_parts(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached (eigenvalues, basis, sqrt of the weights W) for exp(Q t)."""
-    parts = _parts.get(p)
-    if parts is None:
-        _parts.clear()
-        evals, basis = full_decomposition(p)
-        lw = log_stationary_weights(p)
-        sqw = np.exp(0.5 * (lw - lw.max()))
-        for arr in (evals, basis, sqw):
-            arr.flags.writeable = False
-        parts = _parts[p] = (evals, basis, sqw)
-    return parts
+_parts: dict[ModelParams, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _propagate(p: ModelParams, t: float, rows: int | slice) -> np.ndarray:
@@ -363,7 +349,13 @@ def _propagate(p: ModelParams, t: float, rows: int | slice) -> np.ndarray:
     """
     if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
-    evals, basis, sqw = _propagator_parts(p)
+    parts = _parts.get(p)
+    if parts is None:
+        _parts.clear()
+        parts = _parts[p] = full_decomposition(p)
+    evals, basis = parts
+    lw = log_stationary_weights(p)
+    sqw = np.exp(0.5 * (lw - lw.max()))
     return np.clip(
         (basis[rows] * np.exp(evals * t)) @ basis.T * (sqw / sqw[rows, None]),
         0.0, 1.0,

@@ -32,10 +32,10 @@ from sisq.stationary import log_stationary_weights
 N2_LAMBDA1 = (-3.5 + math.sqrt(4.25)) / 2.0
 
 
-# The dense route refuses exactly where a normalized detailed-balance
-# weight underflows; these are its edges at R0 = 2, 5 and 0.5, the points
-# the benchmark's edge probe tries, and sizes past the old n = 4096 cap
-# and past n = 2,025, where the weights span over 745 nats at any R0.
+# The dense route refuses exactly where stationary_distribution(p) has a
+# zero entry; these are its edges at R0 = 2, 5 and 0.5, the points the
+# benchmark's edge probe tries, and sizes past the old n = 4096 cap and
+# past n = 2,025, where no R0 is accepted.
 @pytest.mark.parametrize("n, r0, refused", [
     (1489, 2.0, True), (1488, 2.0, False), (926, 5.0, True), (440, 0.5, True),
     (2000, 2.0, True), (4096, 0.5, True), (4096, 1.05, True),
@@ -505,3 +505,30 @@ def test_flux_sum_at_zero_closed_form(n, r0, gamma):
     want = _log_flux_sum_at_zero(g.upper, g.lower, gamma)
     assert abs(got - want) <= 1e-12 * abs(want)
     assert math.ceil(got / math.log(2.0)) == math.ceil(want / math.log(2.0))
+
+
+@pytest.mark.parametrize("n, r0, gamma", [
+    (6, 1.5, 1.0), (30, 0.7, 1.0), (40, 2.0, 1.0), (10, 0.5, 0.37),
+    (1, 2.0, 1.0), (2, 1.0, 1.0),
+])
+def test_flux_sum_at_zero_is_gamma_times_mean_time_from_n(n, r0, gamma):
+    # S(0) = gamma * E_n[T] (Karlin & McGregor 1957), against a dense
+    # solve of -Q tau = 1
+    p = ModelParams(n, r0 * gamma, gamma)
+    tau = np.linalg.solve(-dense_transient(p), np.ones(n))
+    got = math.exp(sisq.spectral._log_flux_sum_at_zero(p))
+    assert got == pytest.approx(gamma * tau[-1], rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("n, r0", [(450, 5.0), (500, 5.0), (800, 5.0), (900, 3.0)])
+def test_flux_rate_where_bisection_stops_early(n, r0):
+    # the scaled theta* is below 1e-154 here, so sqrt(lo * hi) is formed
+    # from a subnormal product (or is 0) and the bisection stops short of
+    # its tolerance; the polished rate still sits at the sign change
+    p = ModelParams(n, r0, 1.0)
+    theta = -quasi_stationary_distribution(p).lambda1
+    assert theta < 1e-154
+    g = build_transient_generator(p)
+    upper, lower = g.upper.tolist(), g.lower.tolist()
+    assert sisq.spectral._flux_sweep(theta * (1.0 - 1e-13), upper, lower, 1.0)[0]
+    assert not sisq.spectral._flux_sweep(theta * (1.0 + 1e-13), upper, lower, 1.0)[0]
