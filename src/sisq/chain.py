@@ -1,14 +1,13 @@
-"""SIS birth-death chain on {0, 1, ..., n}: rates and the transient generator.
+"""SIS birth-death chain on {0, 1, ..., n}: parameters and rates.
 
 State i counts the infectives in a closed population of n hosts.  New
 infections arrive at rate lambda*i*(n-i)/n, recoveries at rate gamma*i,
-and state 0 (disease extinct) is absorbing.  The generator restricted to
-the transient states {1, ..., n} is tridiagonal and is the object every
-downstream module works with; it is kept in banded form so that rate
-queries stay O(1) and memory stays O(n) even for very large populations.
-Dense matrices are only ever materialized by the spectral module, whose
-only limit is that it refuses one where stationary_distribution(p) has a
-zero entry.
+and state 0 (disease extinct) is absorbing.  rates(p) is the one place
+these formulas are stated: two O(n) lists that every downstream module
+reads, the generator over the transient states {1, ..., n} being the
+tridiagonal band they define.  Dense matrices are only ever materialized
+by the spectral module, whose only limit is that it refuses one where
+stationary_distribution(p) has a zero entry.
 """
 
 from __future__ import annotations
@@ -20,11 +19,8 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "TransientGenerator",
-    "birth_rate",
-    "death_rate",
-    "build_transient_generator",
     "check_state",
+    "rates",
 ]
 
 
@@ -92,76 +88,16 @@ def check_state(p: ModelParams, i: int, what: str = "state") -> int:
     return i
 
 
-def birth_rate(i: int, p: ModelParams) -> float:
-    """Infection rate out of state i: lambda*i*(n-i)/n.
+def rates(p: ModelParams) -> tuple[list, list]:
+    """Birth and death rates of states 0..n, as lists of Python floats.
 
-    Vanishes at both ends: no infectives at i = 0, no susceptibles left
-    at i = n.
+    births[i] = lambda*i*(n-i)/n and deaths[i] = gamma*i.  The birth rate
+    vanishes at both ends: no infectives at i = 0, no susceptibles left at
+    i = n.  The transient generator over states 1..n is tridiagonal, with
+    births[1:n] above the diagonal, deaths[2:] below it and
+    -(births[1:] + deaths[1:]) on it; its rows sum to -gamma on state 1,
+    whose recovery leaks into the absorbing state, and to 0 elsewhere.
     """
-    if i < 0 or i > p.n:
-        raise ValueError(f"state {i} outside [0, {p.n}]")
-    return p.lam * i * (p.n - i) / p.n
-
-
-def death_rate(i: int, p: ModelParams) -> float:
-    """Recovery rate out of state i: gamma*i."""
-    if i < 0 or i > p.n:
-        raise ValueError(f"state {i} outside [0, {p.n}]")
-    return p.gamma * i
-
-
-@dataclass(frozen=True)
-class TransientGenerator:
-    """Tridiagonal generator restricted to the transient states 1..n.
-
-    Row k (0-based) describes state i = k + 1:
-
-        upper[k] = birth_rate(k + 1)   transitions i -> i + 1
-        lower[k] = death_rate(k + 2)   transitions i + 1 -> i
-        diag[k]  = -(birth_rate(k + 1) + death_rate(k + 1))
-
-    Row sums are -gamma for the first row (recovery from state 1 leaks
-    into the absorbing state) and zero for every other row.
-
-    Attributes:
-        n: number of transient states.
-        lower: sub-diagonal, length n - 1.
-        diag: main diagonal, length n.
-        upper: super-diagonal, length n - 1.
-    """
-
-    n: int
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("lower", "diag", "upper"):
-            arr = getattr(self, name)
-            arr = np.asarray(arr, dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.diag.shape != (self.n,):
-            raise ValueError(f"diag must have length n={self.n}")
-        if self.lower.shape != (max(self.n - 1, 0),) or self.upper.shape != self.lower.shape:
-            raise ValueError(f"off-diagonals must have length n-1={self.n - 1}")
-
-
-def build_transient_generator(p: ModelParams) -> TransientGenerator:
-    """Assemble the banded transient generator for the given parameters.
-
-    Args:
-        p: model parameters.
-
-    Returns:
-        TransientGenerator over states 1..n.
-    """
-    i = np.arange(1, p.n + 1, dtype=float)
-    births = p.lam * i * (p.n - i) / p.n
-    deaths = p.gamma * i
-    return TransientGenerator(
-        n=p.n,
-        lower=deaths[1:],
-        diag=-(births + deaths),
-        upper=births[:-1],
-    )
+    n = p.n
+    return ([p.lam * i * (n - i) / n for i in range(n + 1)],
+            [p.gamma * i for i in range(n + 1)])

@@ -1,10 +1,10 @@
 """Exact event-driven (Gillespie) simulation of the SIS jump chain.
 
 At state i the waiting time to the next event is exponential with rate
-birth_rate(i) + death_rate(i), and the event is a birth with probability
-birth/(birth + death).  No approximation is involved anywhere; these
-trajectories are the empirical oracle the analytic modules are checked
-against.
+b_i + d_i, the state's birth and death rates from chain.rates, and the
+event is a birth with probability b_i/(b_i + d_i).  No approximation is
+involved anywhere; these trajectories are the empirical oracle the
+analytic modules are checked against.
 
 Two loops implement this.  `_run` is the recorder behind `simulate` and
 `simulate_restarted`: it keeps the event log, the occupancy clocks and
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sisq.chain import ModelParams, birth_rate, check_state, death_rate
+from sisq.chain import ModelParams, _is_integer, check_state, rates
 from sisq.stationary import check_probability_vector, log_stationary_weights
 
 __all__ = [
@@ -108,7 +108,9 @@ class SeedSpec:
     root_seed: int
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.root_seed) < 2**64:
+        # 1.5, True and "7" would each truncate or parse into another
+        # seed's stream.
+        if not _is_integer(self.root_seed) or not 0 <= int(self.root_seed) < 2**64:
             raise ValueError(f"root_seed must be a 64-bit integer, got {self.root_seed!r}")
         object.__setattr__(self, "root_seed", int(self.root_seed))
 
@@ -185,11 +187,8 @@ def _state_dtype(n: int) -> np.dtype:
 
 def _rates(p: ModelParams) -> tuple[list, list]:
     """Per-state birth rates and total event rates, states 0..n."""
-    # The chain's scalar rates, not build_transient_generator: its array
-    # arithmetic maps ~0.13 MB of numpy code into a sampler process that
-    # otherwise never runs it (x86-64 Linux, numpy 2.4).
-    births = [birth_rate(i, p) for i in range(p.n + 1)]
-    return births, [b + death_rate(i, p) for i, b in enumerate(births)]
+    births, deaths = rates(p)
+    return births, [b + d for b, d in zip(births, deaths)]
 
 
 def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
@@ -333,13 +332,12 @@ def simulate_restarted(p: ModelParams, t_max: float, seed: SeedSpec) -> Trajecto
 
 def _jump(births: list, totals: list, state: int, t_stop: float,
           gen: np.random.Generator) -> tuple[int, float]:
-    """Lean sampler: run from `state` at time 0 until absorption or t >= t_stop.
+    """Lean sampler: run from transient `state` at time 0 until absorption
+    or t >= t_stop.
 
     Returns (0, absorption time) or (state held at t_stop, time of the
     first event past it).
     """
-    if state == 0:
-        return 0, 0.0
     t = 0.0
     birth = births[state]
     total = totals[state]
@@ -381,6 +379,13 @@ def _chunk(args: tuple) -> list:
     return out
 
 
+def _check_count(value: int, what: str) -> int:
+    """A replicate or worker count, refused unless an integer >= 1 (bool excluded)."""
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _fan_out(p: ModelParams, start, t_stop: float, seed: SeedSpec,
              replicates: int, workers: int) -> list:
     """_chunk over all replicates, in replicate order.
@@ -393,8 +398,6 @@ def _fan_out(p: ModelParams, start, t_stop: float, seed: SeedSpec,
     concurrent.futures.process) is imported on the first run with more
     than one process, never by a command that runs serially.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -479,8 +482,8 @@ def conditioned_ensemble(
             capped at the number of CPUs this process may run on; 1
             runs serially.  Results are identical either way.
     """
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates!r}")
+    replicates = _check_count(replicates, "replicates")
+    workers = _check_count(workers, "workers")
     y0 = check_state(p, y0, "initial state")
     t_snap = _check_horizon(t_snap)
     runs = _fan_out(p, y0, t_snap, seed, replicates, workers)
@@ -543,8 +546,8 @@ def extinction_time_samples(
             capped at the number of CPUs this process may run on; 1
             runs serially.  Results are identical either way.
     """
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates!r}")
+    replicates = _check_count(replicates, "replicates")
+    workers = _check_count(workers, "workers")
     init_cum = np.cumsum(check_probability_vector(init, p.n))
     # log(replicates * gamma * E_1[T]), gamma * E_1[T] being the sum of
     # the weights as in log_expected_extinction_time.  Summed with numpy's

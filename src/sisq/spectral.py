@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from sisq.chain import ModelParams, build_transient_generator, check_state
+from sisq.chain import ModelParams, check_state, rates
 from sisq.stationary import log_stationary_weights, stationary_distribution
 
 __all__ = [
@@ -204,9 +204,9 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
             "precision at these parameters; the spectral route cannot represent it"
             % log_s0
         )
-    g = build_transient_generator(p)
-    upper = g.upper.tolist()
-    lower = g.lower.tolist()
+    births, deaths = rates(p)
+    upper = births[1:n]
+    lower = deaths[2:]
     # Phase 1: smallest k in (k_lo, k_hi] whose sweep is below the rate.
     k_lo = 0
     k_hi = math.ceil(log_s0 / math.log(2.0)) + 1
@@ -308,7 +308,8 @@ def full_decomposition(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of the symmetrized generator, descending order.
 
     That is W^(1/2) Q W^(-1/2), W the detailed-balance weights: Q's
-    diagonal, and off-diagonal sqrt(birth_rate(i) * death_rate(i+1)).
+    diagonal -(b_i + d_i), and off-diagonal sqrt(b_i * d_{i+1}), with
+    b and d the rates of chain.rates.
 
     Returns (eigenvalues, basis): the eigenvalues in descending order and
     the orthonormal eigenvectors (to 1e-10, LAPACK) as the columns of
@@ -327,8 +328,8 @@ def full_decomposition(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
             "detailed-balance weight span exceeds double precision; the dense "
             "spectral route is unavailable at these parameters"
         )
-    g = build_transient_generator(p)
-    evals, evecs = eigh_tridiagonal(g.diag, np.sqrt(g.upper * g.lower))
+    b, d = map(np.array, rates(p))
+    evals, evecs = eigh_tridiagonal(-(b[1:] + d[1:]), np.sqrt(b[1:-1] * d[2:]))
     return evals[::-1], evecs[:, ::-1]
 
 

@@ -4,11 +4,12 @@ When the chain is restarted at state 1 upon every extinction it becomes an
 ergodic birth-death process on {1, ..., n}, whose equilibrium distribution
 follows from detailed balance:
 
-    pi[i+1] / pi[i] = birth_rate(i) / death_rate(i+1)
+    pi[i+1] / pi[i] = b_i / d_{i+1}
                     = (i / (i+1)) * (lambda / (n*gamma)) * (n - i)
 
-The exact mean time to extinction of the plain chain started from state 1
-is 1 / (gamma * pi[1]).  Everything is accumulated in log space: the
+with b_i and d_i the birth and death rates of chain.rates.  The exact
+mean time to extinction of the plain chain started from state 1 is
+1 / (gamma * pi[1]).  Everything is accumulated in log space: the
 unnormalized weights span hundreds of orders of magnitude once n is large
 and R0 > 1, and (n-1)! alone overflows double precision past n = 170.
 """

@@ -7,7 +7,9 @@ recurrences instead of log-gamma closed forms, LAPACK's stebz/stein
 eigenpair of the symmetrized generator, built here from the rates,
 instead of the flux recurrence.  The exceptions are frozen
 copies that pin the library's output bit for bit rather than check it by
-another route: flux_bisection_reference, the flux solver as it stood
+another route: bands_reference, the generator's bands as a numpy builder
+computed them before the chain's rates became lists;
+flux_bisection_reference, the flux solver as it stood
 before its halving phase became a binary search, with its _flux_sweep,
 the sweep as it stood when it read each term back from a numpy array;
 jump_reference and run_reference, the Gillespie loops as they stood when
@@ -27,16 +29,32 @@ from scipy.linalg import eigh_tridiagonal
 
 import sisq.cli as cli
 import sisq.sim as sim
-from sisq.chain import ModelParams, TransientGenerator, build_transient_generator
+from sisq.chain import ModelParams, rates
 from sisq.spectral import ConvergenceError
+
+
+def bands(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, diag, upper) of the transient generator over states 1..n,
+    sliced from rates(p) as the spectral route slices them."""
+    b, d = map(np.array, rates(p))
+    return d[2:], -(b[1:] + d[1:]), b[1:-1]
+
+
+def bands_reference(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, diag, upper) as the numpy builder computed them before the
+    chain's rates became two lists; its expressions kept verbatim."""
+    i = np.arange(1, p.n + 1, dtype=float)
+    births = p.lam * i * (p.n - i) / p.n
+    deaths = p.gamma * i
+    return deaths[1:], -(births + deaths), births[:-1]
 
 
 def dense_transient(p: ModelParams) -> np.ndarray:
     """Dense n x n copy of the transient generator."""
-    g = build_transient_generator(p)
-    q = np.diag(g.diag)
+    lower, diag, upper = bands(p)
+    q = np.diag(diag)
     if p.n > 1:
-        q += np.diag(g.upper, 1) + np.diag(g.lower, -1)
+        q += np.diag(upper, 1) + np.diag(lower, -1)
     return q
 
 
@@ -117,9 +135,8 @@ def dominant_eigenpair(p: ModelParams) -> tuple[float, np.ndarray]:
         (lambda1, u1) with u1 normalized to unit Euclidean norm and
         oriented positive.
     """
-    g = build_transient_generator(p)
-    diag = g.diag
-    offdiag = np.sqrt(g.upper * g.lower)
+    lower, diag, upper = bands(p)
+    offdiag = np.sqrt(upper * lower)
     if p.n == 1:
         return float(diag[0]), np.ones(1)
     evals, evecs = eigh_tridiagonal(
@@ -175,26 +192,28 @@ def _flux_sweep(
     return gamma - theta * s > 0.0, v, s
 
 
-def flux_bisection_reference(g: TransientGenerator, gamma: float) -> tuple[float, np.ndarray]:
+def flux_bisection_reference(p: ModelParams) -> tuple[float, np.ndarray]:
     """Decay rate theta = -lambda1 and QSD by the original flux bisection.
 
     Halves theta down from gamma one sweep at a time until a sweep lies
     below the decay rate, then bisects geometrically.  Kept verbatim, with
     its sweep and theta = 0 helpers, so the library solver can be held to
-    the same bits.
+    the same bits; only its rates are now read from rates(p).
     """
-    n = g.n
+    n = p.n
+    gamma = p.gamma
+    lower, _, upper = bands(p)
     if n == 1:
         return gamma, np.ones(1)
-    log_s0 = _log_flux_sum_at_zero(g.upper, g.lower, gamma)
+    log_s0 = _log_flux_sum_at_zero(upper, lower, gamma)
     if log_s0 > _MAX_LOG_FLUX_SUM:
         raise OverflowError(
             "dominant eigenvalue magnitude ~ gamma*exp(-%.4g) underflows double "
             "precision at these parameters; the spectral route cannot represent it"
             % log_s0
         )
-    upper = g.upper.tolist()
-    lower = g.lower.tolist()
+    upper = upper.tolist()
+    lower = lower.tolist()
     lo = 0.0
     hi = gamma
     v_lo: np.ndarray | None = None

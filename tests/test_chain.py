@@ -4,13 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sisq.chain import (
-    ModelParams,
-    TransientGenerator,
-    birth_rate,
-    build_transient_generator,
-    death_rate,
-)
+from _oracles import bands, bands_reference
+from sisq.chain import ModelParams, rates
 
 
 def test_params_reject_nonpositive_n():
@@ -64,95 +59,88 @@ def test_params_accept_numpy_integer():
 
 
 def test_birth_rate_vanishes_at_both_ends():
-    p = ModelParams(8, 2.0, 0.5)
-    assert birth_rate(0, p) == 0.0
-    assert birth_rate(8, p) == 0.0
+    births, _ = rates(ModelParams(8, 2.0, 0.5))
+    assert births[0] == 0.0
+    assert births[8] == 0.0
 
 
 def test_birth_rate_hand_value():
-    assert birth_rate(1, ModelParams(2, 1.0, 1.0)) == 0.5
+    births, _ = rates(ModelParams(2, 1.0, 1.0))
+    assert births[1] == 0.5
 
 
 def test_death_rate_values():
-    p = ModelParams(2, 1.0, 1.0)
-    assert death_rate(0, p) == 0.0
-    assert death_rate(1, p) == 1.0
-    assert death_rate(2, p) == 2.0
+    _, deaths = rates(ModelParams(2, 1.0, 1.0))
+    assert deaths == [0.0, 1.0, 2.0]
 
 
 def test_rate_domain_errors():
+    # the lists cover states 0..n and no further
     p = ModelParams(3, 1.0)
-    for i in (-1, 4):
-        with pytest.raises(ValueError):
-            birth_rate(i, p)
-        with pytest.raises(ValueError):
-            death_rate(i, p)
+    for rate in rates(p):
+        assert len(rate) == p.n + 1
+        with pytest.raises(IndexError):
+            rate[p.n + 1]
 
 
 def test_rates_nonnegative_everywhere():
-    p = ModelParams(25, 0.7, 1.3)
-    for i in range(p.n + 1):
-        assert birth_rate(i, p) >= 0.0
-        assert death_rate(i, p) >= 0.0
+    for rate in rates(ModelParams(25, 0.7, 1.3)):
+        assert all(type(r) is float and r >= 0.0 for r in rate)
+
+
+def test_rates_are_fresh_lists():
+    # nothing is cached: a caller that edits its lists changes no one else's
+    p = ModelParams(5, 1.0)
+    births, deaths = rates(p)
+    births[1] = deaths[1] = 99.0
+    assert rates(p) == ([0.0, 0.8, 1.2, 1.2, 0.8, 0.0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
 
 
 def test_generator_single_state():
-    g = build_transient_generator(ModelParams(1, 1.0, 1.0))
-    assert g.diag.tolist() == [-1.0]
-    assert g.upper.size == 0 and g.lower.size == 0
+    lower, diag, upper = bands(ModelParams(1, 1.0, 1.0))
+    assert diag.tolist() == [-1.0]
+    assert upper.size == 0 and lower.size == 0
 
 
 def test_generator_hand_values_n2():
-    g = build_transient_generator(ModelParams(2, 1.0, 1.0))
-    assert g.diag.tolist() == [-1.5, -2.0]
-    assert g.upper.tolist() == [0.5]
-    assert g.lower.tolist() == [2.0]
+    lower, diag, upper = bands(ModelParams(2, 1.0, 1.0))
+    assert diag.tolist() == [-1.5, -2.0]
+    assert upper.tolist() == [0.5]
+    assert lower.tolist() == [2.0]
 
 
 def test_generator_entries_match_rate_functions():
-    p = ModelParams(17, 2.3, 0.9)
-    g = build_transient_generator(p)
-    for k in range(p.n):
-        i = k + 1
-        assert g.diag[k] == -(birth_rate(i, p) + death_rate(i, p))
-        if k < p.n - 1:
-            assert g.upper[k] == birth_rate(i, p)
-            assert g.lower[k] == death_rate(i + 1, p)
+    # the rates, as the spectral route slices them, against the numpy
+    # builder they replaced, bit for bit: n = 1, large n, and rates near
+    # both ends of the double range, subnormal ones included
+    for n in (1, 2, 3, 17, 1000, 10_007):
+        for lam, gamma in ((2.3, 0.9), (1 / 3, 0.7), (1.0, 1.0), (2e-300, 1e-300),
+                           (1e-300, 1.0), (1.0, 1e-300), (5e200, 1e200),
+                           (5e-324, 5e-324)):
+            p = ModelParams(n, lam, gamma)
+            got, want = bands(p), bands_reference(p)
+            for g, w in zip(got, want):
+                assert (g.shape, g.tobytes()) == (w.shape, w.tobytes()), (n, lam, gamma)
 
 
 def test_generator_irreducible_off_diagonals():
-    g = build_transient_generator(ModelParams(40, 0.3, 2.0))
-    assert np.all(g.upper > 0.0)
-    assert np.all(g.lower > 0.0)
-    assert np.all(g.diag < 0.0)
+    lower, diag, upper = bands(ModelParams(40, 0.3, 2.0))
+    assert np.all(upper > 0.0)
+    assert np.all(lower > 0.0)
+    assert np.all(diag < 0.0)
 
 
 def test_row_sums_leak_only_from_state_one():
     # rows 2..n cancel exactly; row 1 is -gamma up to one rounding of
-    # birth_rate(1) + gamma (the two addends are not representable jointly)
+    # b_1 + gamma (the two addends are not representable jointly)
     for n, lam, gamma in ((2, 1.0, 1.0), (3, 1.0, 1.0), (7, 0.3, 1.7),
                           (50, 5.0, 1.0), (201, 0.9, 0.4)):
         p = ModelParams(n, lam, gamma)
-        g = build_transient_generator(p)
+        lower, diag, upper = bands(p)
         # off-diagonal mass first, then the diagonal, as Q applied to ones
         rs = np.zeros(n)
-        rs[1:] += g.lower
-        rs[:-1] += g.upper
-        rs += g.diag
+        rs[1:] += lower
+        rs[:-1] += upper
+        rs += diag
         assert np.all(rs[1:] == 0.0)
-        assert abs(rs[0] + gamma) <= np.spacing(birth_rate(1, p) + gamma)
-
-
-def test_generator_arrays_immutable():
-    g = build_transient_generator(ModelParams(5, 1.0))
-    for arr in (g.diag, g.upper, g.lower):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 99.0
-
-
-def test_generator_shape_validation():
-    with pytest.raises(ValueError):
-        TransientGenerator(n=3, lower=[1.0], diag=[-1.0, -2.0, -3.0], upper=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        TransientGenerator(n=2, lower=[1.0], diag=[-1.0], upper=[1.0])
+        assert abs(rs[0] + gamma) <= np.spacing(rates(p)[0][1] + gamma)

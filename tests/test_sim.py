@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import sisq.sim as sim_module
-from sisq.chain import ModelParams, birth_rate, death_rate
+from sisq.chain import ModelParams, rates
 from sisq.sim import (
     EnsembleResult,
     SeedSpec,
@@ -33,6 +33,19 @@ def test_seed_spec_validation():
     with pytest.raises(ValueError):
         SeedSpec(2**64)
     assert SeedSpec(2**64 - 1).root_seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "7", None])
+def test_seed_spec_refuses_non_integers(bad):
+    # each would otherwise truncate or parse onto another seed's stream
+    with pytest.raises(ValueError, match="^root_seed must be a 64-bit integer, got "):
+        SeedSpec(bad)
+
+
+def test_seed_spec_accepts_numpy_integers():
+    for root in (np.int64(7), np.uint64(2**64 - 1)):
+        seed = SeedSpec(root)
+        assert type(seed.root_seed) is int and seed.root_seed == int(root)
 
 
 def test_seed_spec_generator_is_deterministic():
@@ -194,9 +207,10 @@ def test_pooled_waiting_times_match_rates():
     tr = simulate_restarted(p, 2000.0, SeedSpec(14))
     dt = np.diff(tr.times)
     prev = tr.states[:-1]
+    births, deaths = rates(p)
     for i in (1, 2):
         waits = dt[prev == i]
-        want = 1.0 / (birth_rate(i, p) + death_rate(i, p))
+        want = 1.0 / (births[i] + deaths[i])
         se = waits.std(ddof=1) / math.sqrt(waits.size)
         assert abs(waits.mean() - want) <= 3.0 * se
 
@@ -394,6 +408,30 @@ def test_ensemble_validation():
         conditioned_ensemble(p, 5, 1.0, SeedSpec(1), y0=11)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "3", None])
+@pytest.mark.parametrize("what", ["replicates", "workers"])
+def test_counts_refuse_non_integers(what, bad):
+    p = ModelParams(5, 2.0)
+    counts = {"replicates": 3, "workers": 1, what: bad}
+    for run in (
+        lambda: conditioned_ensemble(p, counts["replicates"], 1.0, SeedSpec(1),
+                                     workers=counts["workers"]),
+        lambda: extinction_time_samples(p, counts["replicates"], SeedSpec(1),
+                                        [1.0, 0.0, 0.0, 0.0, 0.0], workers=counts["workers"]),
+    ):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer >= 1, got "):
+            run()
+
+
+def test_counts_accept_numpy_integers():
+    p = ModelParams(5, 2.0)
+    res = conditioned_ensemble(p, np.int64(3), 1.0, SeedSpec(1), workers=np.int64(1))
+    assert type(res.replicates) is int and res.replicates == 3
+    samples = extinction_time_samples(p, np.int64(3), SeedSpec(1),
+                                      [1.0, 0.0, 0.0, 0.0, 0.0], workers=np.int64(1))
+    assert samples.replicates == 3
+
+
 def test_ensemble_parallel_equals_serial():
     p = ModelParams(50, 2.0, 1.0)
     serial = conditioned_ensemble(p, 300, 3.0, SeedSpec(31))
@@ -582,7 +620,7 @@ def _kernel_grid_cases():
             quick = log_expected_extinction_time(p) < math.log(100.0)
             for seed in (0, 1, 2):
                 for t_stop in (0.5, 10.0) + ((math.inf,) if quick else ()):
-                    for start in sorted({0, 1, n}):
+                    for start in sorted({1, n}):
                         yield p, seed, "jump", start, t_stop
                 for t_max in (0.5, 10.0):
                     for y0 in sorted({1, n}):

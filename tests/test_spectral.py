@@ -13,12 +13,13 @@ from _oracles import (
     _flux_sweep,
     _log_flux_sum_at_zero,
     dense_full,
+    bands,
     dense_transient,
     dominant_eigenpair,
     flux_bisection_reference,
     uniformization,
 )
-from sisq.chain import ModelParams, build_transient_generator
+from sisq.chain import ModelParams
 from sisq.spectral import (
     ConvergenceError,
     conditioned_distribution,
@@ -169,9 +170,8 @@ def test_full_decomposition_descending_orthonormal():
 
 def test_full_decomposition_trace_identity():
     p = ModelParams(40, 2.0, 1.0)
-    g = build_transient_generator(p)
     evals, _ = full_decomposition(p)
-    assert evals.sum() == pytest.approx(g.diag.sum(), rel=1e-9)
+    assert evals.sum() == pytest.approx(bands(p)[1].sum(), rel=1e-9)
 
 
 def test_transition_matrix_at_zero_is_identity():
@@ -410,7 +410,7 @@ _FLUX_ORACLE_GRID = [
 def _assert_flux_matches_reference(n: int, r0: float, gamma: float) -> None:
     p = ModelParams(n, r0 * gamma, gamma)
     try:
-        theta, qsd = flux_bisection_reference(build_transient_generator(p), gamma)
+        theta, qsd = flux_bisection_reference(p)
     except OverflowError:
         with pytest.raises(OverflowError):
             quasi_stationary_distribution(p)
@@ -441,8 +441,7 @@ def test_flux_sweep_matches_frozen_numpy_loop(n, r0, gamma):
     # gamma / 2^k_hi up to gamma, and within 1e-12 of theta* either side
     m = math.frexp(gamma)[1] - 1
     p = ModelParams(n, math.ldexp(r0 * gamma, -m), math.ldexp(gamma, -m))
-    g = build_transient_generator(p)
-    upper, lower = g.upper.tolist(), g.lower.tolist()
+    lower, _, upper = (band.tolist() for band in bands(p))
     k_hi = math.ceil(sisq.spectral._log_flux_sum_at_zero(p) / math.log(2.0)) + 1
     star = -quasi_stationary_distribution(p).lambda1
     thetas = [math.ldexp(p.gamma, -k_hi) * 2.0 ** (k_hi * i / 14) for i in range(15)]
@@ -500,9 +499,9 @@ def test_flux_sum_at_zero_closed_form(n, r0, gamma):
     # the closed form against the frozen logaddexp loop it replaced,
     # including the exponent bound k_hi the binary search starts from
     p = ModelParams(n, r0 * gamma, gamma)
-    g = build_transient_generator(p)
+    lower, _, upper = bands(p)
     got = sisq.spectral._log_flux_sum_at_zero(p)
-    want = _log_flux_sum_at_zero(g.upper, g.lower, gamma)
+    want = _log_flux_sum_at_zero(upper, lower, gamma)
     assert abs(got - want) <= 1e-12 * abs(want)
     assert math.ceil(got / math.log(2.0)) == math.ceil(want / math.log(2.0))
 
@@ -528,7 +527,6 @@ def test_flux_rate_where_bisection_stops_early(n, r0):
     p = ModelParams(n, r0, 1.0)
     theta = -quasi_stationary_distribution(p).lambda1
     assert theta < 1e-154
-    g = build_transient_generator(p)
-    upper, lower = g.upper.tolist(), g.lower.tolist()
+    lower, _, upper = (band.tolist() for band in bands(p))
     assert sisq.spectral._flux_sweep(theta * (1.0 - 1e-13), upper, lower, 1.0)[0]
     assert not sisq.spectral._flux_sweep(theta * (1.0 + 1e-13), upper, lower, 1.0)[0]

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from _oracles import ratio_log_weights
-from sisq.chain import ModelParams, birth_rate, death_rate
+from sisq.chain import ModelParams, rates
 from sisq.stationary import (
     check_probability_vector,
     exact_expected_extinction_time,
@@ -40,9 +40,10 @@ def test_detailed_balance_entrywise():
     for p in (ModelParams(2, 1.0, 1.0), ModelParams(7, 0.4, 1.1),
               ModelParams(50, 2.0, 1.0), ModelParams(50, 8.0, 3.0)):
         pi = stationary_distribution(p)
+        births, deaths = rates(p)
         for i in range(1, p.n):
-            lhs = pi[i - 1] * birth_rate(i, p)
-            rhs = pi[i] * death_rate(i + 1, p)
+            lhs = pi[i - 1] * births[i]
+            rhs = pi[i] * deaths[i + 1]
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
