@@ -11,7 +11,9 @@ Each row's text is followed by an entry of a byte table chosen by the
 row's key: ",state,flag\\n" in CSV, the JSON separator, or a state or flag
 of a JSON column.  Every integer array and constant in the digit search
 is uint64, so numpy 1.x value-based casting and numpy 2 (NEP 50) give
-the same dtypes.
+the same dtypes.  Each step writes over an array the chunk already holds
+where it can, and each array is dropped once used, so a chunk peaks at
+about 65 B a row (tracemalloc), not the 137 B of a fresh array per step.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ _ONE = _U(1)
 _TEN = _U(10)
 
 
+def _pow5(j: np.ndarray) -> np.ndarray:
+    """5**j of each row.  take casts uint64 indices to a new intp array;
+    the int64 view of j (every j is below 22) is read as it is."""
+    return _POW5.take(j.view(np.int64))
+
+
 def byte_table(strings: list) -> np.ndarray:
     """Row k holds ASCII strings[k] as uint8 codes, NUL-padded to the
     longest of `strings`."""
@@ -54,16 +62,25 @@ def keyed_text(keys: np.ndarray, table: np.ndarray) -> str:
 
 def time_text(times: np.ndarray, keys: np.ndarray, table: np.ndarray) -> str:
     """repr(times[i]) followed by table entry keys[i], for each row i."""
-    exact, c, j = _shortest(times)
-    # c has j fraction digits, and x.0 is written for j = 0.  Below 2**53
-    # the integer part of c * 10**-j is that of x: an integer between the
-    # two would be a shorter decimal inside x's rounding interval.
-    # whole * 10**j, as whole * 5**j << j, fits: it is at most c.
-    whole = np.floor(np.where(exact, times, 0.0)).astype(np.uint64)
-    frac = c - ((whole * _POW5.take(j)) << j)
-    frac_len = np.where(exact, np.maximum(j, _ONE), _ZERO)
+    exact, frac, j = _shortest(times)
+    # frac holds c, which has j fraction digits; x.0 is written for j = 0.
+    # Below 2**53 the integer part of c * 10**-j is that of x: an integer
+    # between the two would be a shorter decimal inside x's rounding
+    # interval.  whole * 10**j, as whole * 5**j << j, fits: it is at most
+    # c.
+    whole = np.where(exact, times, 0.0)
+    whole = np.floor(whole, out=whole).astype(np.uint64)
+    scaled = _pow5(j)
+    scaled *= whole
+    scaled <<= j
+    frac -= scaled
+    del scaled
+    # From here j is the length of each fraction: at least one digit, and
+    # none on a row left to repr.
+    np.maximum(j, _ONE, out=j)
+    j *= exact
     wi = len(str(int(whole.max())))
-    wf = int(frac_len.max())
+    wf = int(j.max())
     head = wi + 1 + wf
     left = np.flatnonzero(~exact).tolist()
     reprs = [float.__repr__(x).encode("ascii") for x in times[left].tolist()]
@@ -73,20 +90,26 @@ def time_text(times: np.ndarray, keys: np.ndarray, table: np.ndarray) -> str:
     # a row left to it, then the table entry.  NUL marks a place the row
     # leaves empty; the transposed bytes, NULs deleted, are the text.
     char = np.zeros((width + table.shape[1], times.size), np.uint8)
+    lead = whole >= _POW10[wi - 1:0:-1, None]  # taken before the digits use whole up
     for q, last, digits in ((whole, wi - 1, wi), (frac, head - 1, wf)):
         for k in range(last, last - digits, -1):
-            div = q // _TEN
-            char[k] = q - div * _TEN
-            q = div
+            # The remainder, a digit, goes straight into its uint8 row.
+            np.divmod(q, _TEN, out=(q, char[k]), casting="unsafe")
+    del whole, frac, q
     char[:head] += np.uint8(ord("0"))
     char[wi] = np.uint8(ord("."))
-    char[:wi - 1] *= whole >= _POW10[wi - 1:0:-1, None]
-    char[wi + 1:head] *= np.arange(wf, dtype=np.uint64)[:, None] >= _U(wf) - frac_len
+    char[:wi - 1] *= lead
+    for k in range(1, wf + 1):
+        char[head - k] *= j >= _U(k)
+    del lead, j
     char[:head] *= exact
     for row, text in zip(left, reprs):
         char[:len(text), row] = np.frombuffer(text, np.uint8)
     np.ascontiguousarray(table.T).take(keys, axis=1, out=char[width:])
-    return char.T.tobytes().replace(b"\0", b"").decode("ascii")
+    text = char.T.tobytes()
+    del char
+    text = text.replace(b"\0", b"")
+    return text.decode("ascii")
 
 
 def _shortest(x: np.ndarray) -> tuple:
@@ -107,9 +130,17 @@ def _shortest(x: np.ndarray) -> tuple:
     x = np.where(exact, x, 1.5)
     bits = x.view(np.uint64)
     # x = m * 2**q with 2**52 <= m < 2**53 and q = biased exponent - 1075.
-    m2 = ((bits & _FRAC_BITS) | _HIDDEN_BIT) << _ONE
-    s = _U(1076) - (bits >> _U(52))
-    j = np.minimum((16.0 - np.floor(np.log10(x))).astype(np.uint64), s - _ONE)
+    m2 = bits & _FRAC_BITS
+    m2 |= _HIDDEN_BIT
+    m2 <<= _ONE
+    s = bits >> _U(52)
+    s = np.subtract(_U(1076), s, out=s)
+    start = np.log10(x)
+    del x, bits
+    start = np.subtract(16.0, np.floor(start, out=start), out=start)
+    j = start.astype(np.uint64)
+    del start
+    np.minimum(j, s - _ONE, out=j)
     # A decimal on the interval's edge would need r = 0, so d == p cannot
     # hold at these j; it is refused rather than assumed.
     rows = np.flatnonzero(exact & (j > _ZERO))
@@ -117,6 +148,7 @@ def _shortest(x: np.ndarray) -> tuple:
         d, p = _gap(m2[rows], s[rows], j[rows] - _ONE)
         exact[rows[d == p]] = False
         rows = rows[d < p]
+        del d, p
         j[rows] -= _ONE
         rows = rows[j[rows] > _ZERO]
     return exact, _round(m2, s, j), j
@@ -131,25 +163,50 @@ def _shortest(x: np.ndarray) -> tuple:
 
 
 def _gap(m2: np.ndarray, s: np.ndarray, j: np.ndarray) -> tuple:
-    """(|round(N / 2**r) * 2**r - N|, 5**j) of each row."""
-    p = _POW5.take(j)
-    r = s - j
-    mask = _ONES >> (_U(64) - r)
-    rem = (m2 * p) & mask
-    return np.minimum(rem, mask - rem + _ONE), p
+    """(|round(N / 2**r) * 2**r - N|, 5**j) of each row, the first
+    written over m2 and s."""
+    p = _pow5(j)
+    mask = np.subtract(s, j, out=s)  # r
+    mask = np.subtract(_U(64), mask, out=mask)
+    mask = np.right_shift(_ONES, mask, out=mask)
+    rem = np.multiply(m2, p, out=m2)
+    rem &= mask
+    mask -= rem
+    mask += _ONE
+    return np.minimum(rem, mask, out=rem), p
 
 
 def _round(m2: np.ndarray, s: np.ndarray, j: np.ndarray) -> np.ndarray:
     """round(N / 2**r) of each row, an exact tie to the even integer as
-    repr rounds it."""
-    p = _POW5.take(j)
-    r = s - j
-    mh, ml = m2 >> _U(32), m2 & _LO32
-    ph, pl = p >> _U(32), p & _LO32
-    hi = mh * ph + ((ml * ph + mh * pl + ((ml * pl) >> _U(32))) >> _U(32))
-    lo = m2 * p
-    rem = lo & (_ONES >> (_U(64) - r))
-    half = _ONE << (r - _ONE)
-    c = (hi << (_U(64) - r)) | ((lo >> (r - _ONE)) >> _ONE)
+    repr rounds it, written over m2 and s and returned in m2's place."""
+    p = _pow5(j)
+    r = np.subtract(s, j, out=s)
+    # The high word of N: mh * ph + ((ml * ph + mh * pl + (ml * pl >> 32))
+    # >> 32) for the 32-bit halves of m2 and p, built up in two arrays.
+    t = m2 & _LO32
+    t *= p & _LO32
+    t >>= _U(32)
+    u = m2 & _LO32
+    u *= p >> _U(32)
+    t += u
+    u = np.right_shift(m2, _U(32), out=u)
+    u *= p & _LO32
+    t += u
+    t >>= _U(32)
+    u = np.right_shift(m2, _U(32), out=u)
+    u *= p >> _U(32)
+    hi = np.add(u, t, out=u)
+    lo = np.multiply(m2, p, out=m2)  # the low word, N mod 2**64
+    del p
+    # c = (hi << (64 - r)) | (lo >> (r - 1) >> 1), and rem = N mod 2**r.
+    shift = np.subtract(_U(64), r, out=t)
+    c_hi = np.left_shift(hi, shift, out=hi)
+    rem = np.right_shift(_ONES, shift, out=shift)
+    rem &= lo
+    r -= _ONE
+    c = np.right_shift(lo, r, out=lo)
+    c >>= _ONE
+    c |= c_hi
+    half = np.left_shift(_ONE, r, out=c_hi)
     c += (rem > half) | ((rem == half) & (c & _ONE == _ONE))
     return c

@@ -63,7 +63,23 @@ class ModelParams:
                 f"R0 = lambda/gamma must be a positive finite double, got "
                 f"{r0!r} from lambda={lam!r}, gamma={gamma!r}"
             )
-        object.__setattr__(self, "n", int(self.n))
+        n = int(self.n)
+        # rates(p) forms lambda*i*(n-i) before it divides by n, lambda*n on
+        # its way to births[n] = 0, and gamma*i.  Past the double range
+        # they leave inf, or NaN (inf * 0), in the rates, and a NaN wait
+        # falls past every clock.  The products below are the largest, in
+        # the operation order of rates (up to n of about 9e7, past which
+        # rounding could reorder neighbouring products).  When they are
+        # finite, so is every b_i + d_i: below i = n, b_i <= DBL_MAX/n and
+        # d_i <= DBL_MAX*(n-1)/n, and the two peak at different states.
+        h = n // 2
+        products = (lam * h * (n - h), lam * (n - h) * h, lam * n, gamma * n)
+        if not all(x < math.inf for x in products):
+            raise ValueError(
+                f"the event rates of n={n}, lambda={lam!r}, gamma={gamma!r} exceed "
+                "the double range; use smaller rates"
+            )
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "gamma", gamma)
 

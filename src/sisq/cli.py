@@ -29,6 +29,7 @@ from sisq.chain import ModelParams
 from sisq.clt import endemic_normal, expected_time_clt, q1_normal_approx
 from sisq.sim import (
     SeedSpec,
+    _restart_flags,
     conditioned_ensemble,
     extinction_time_samples,
     simulate,
@@ -40,13 +41,13 @@ from sisq.stationary import log_expected_extinction_time, stationary_distributio
 SCHEMA_VERSION = 1
 
 # Rows a trajectory export formats and writes at a time, so that it holds
-# one chunk of text, never the whole event log.  At 16,384 rows a chunk's
-# text and numpy temporaries take about 2.5 MB (0.65 MB at 4,096, 9.8 MB
-# at 65,536), and serial exports of a 487,620-row restarted n = 100 log
-# took 108 ms (CSV) and 130 ms (JSON), against 140/170 ms at 4,096 rows,
-# 108/136 at 8,192, 127/148 at 32,768 and 145/181 at 65,536 (medians of
-# 11 alternating runs, 2-core x86-64 host).
-_CHUNK = 1 << 14
+# one chunk of text, never the whole event log.  A chunk's formatter peak
+# is about 65 B a row (tracemalloc), 0.53 MB at 8,192 rows and 1.07 MB at
+# 16,384.  Serial exports of a 487,620-row restarted n = 100 log took
+# 159 ms (CSV) and 165 ms (JSON) at 8,192 rows, against 167/171 ms at
+# 16,384 and 182/197 at 4,096 (medians of 25 alternating runs, 2-core
+# x86-64 host).
+_CHUNK = 1 << 13
 
 __all__ = ["main"]
 
@@ -263,7 +264,8 @@ def _trajectory_output(args, tr) -> None:
 
 def _csv_pieces(tr):
     # One string per _CHUNK rows, each row's time followed by the suffix
-    # ",state,flag\n" that entry state + (n+1)*flag of a table holds.  The
+    # ",state,flag\n" that entry state + (n+1)*flag of a table holds.  A
+    # chunk's flags come from the state column, one chunk at a time.  The
     # text formatter is imported here and in _json_pieces, not with this
     # module, so that the other commands load no more code.
     from sisq import _shortrepr
@@ -274,7 +276,9 @@ def _csv_pieces(tr):
                                    for state in range(width)])
     for i in range(0, tr.times.size, _CHUNK):
         j = i + _CHUNK
-        keys = tr.states[i:j] + np.int64(width) * tr.restart_flags[i:j]
+        keys = _restart_flags(tr.states, i, j).astype(np.intp)
+        keys *= width
+        keys += tr.states[i:j]
         yield _shortrepr.time_text(tr.times[i:j], keys, table)
 
 
@@ -298,17 +302,20 @@ def _json_pieces(args, tr):
     # spliced in, _CHUNK items at a time, with the layout indent=2 gives
     # them.  Every item but a column's last is followed by ",\n    ": key
     # v (a state, a flag, 0 for a time) picks entry v of its column's
-    # table, and on the last row entry v + len(items), the item alone.
+    # table, and on the last row entry v + len(items), the item alone.  A
+    # chunk's keys are made for that chunk, its flags from the states.
     size = tr.times.size
-    for key, items, values in (
-            ("time", [""], np.broadcast_to(np.intp(0), size)),
-            ("state", [str(state) for state in range(tr.n + 1)], tr.states),
-            ("restart_flag", ["0", "1"], tr.restart_flags)):
+    for key, items, keys_of in (
+            ("time", [""], lambda i, j: np.zeros(j - i, np.intp)),
+            ("state", [str(state) for state in range(tr.n + 1)],
+             lambda i, j: tr.states[i:j].astype(np.intp)),
+            ("restart_flag", ["0", "1"],
+             lambda i, j: _restart_flags(tr.states, i, j).astype(np.intp))):
         yield f',\n  "{key}": [\n    '
         table = _shortrepr.byte_table([item + ",\n    " for item in items] + items)
         for i in range(0, size, _CHUNK):
             j = min(i + _CHUNK, size)
-            keys = values[i:j].astype(np.intp)
+            keys = keys_of(i, j)
             if j == size:
                 keys[-1] += len(items)
             yield (_shortrepr.time_text(tr.times[i:j], keys, table) if key == "time"

@@ -18,7 +18,10 @@ would, so every double is the one such a loop computes.  Each block's
 rows are appended in place to growable columns (`array.array`), states
 at the narrowest signed integer type that holds n, and the Trajectory
 gets views of them.  The log is never joined or copied, so it peaks near
-what it holds once recorded: 10 B a row (n <= 127) or 11 B (n <= 32,767).
+what it holds once recorded: 9 B a row (n <= 127) or 10 B (n <= 32,767),
+a time and a state.  No flag column is kept: a restart row is exactly a
+row whose previous row is at state 0, so the flags are derived from the
+states wherever they are read.
 `_jump` is the lean sampler behind `conditioned_ensemble` and
 `extinction_time_samples`: it keeps nothing but the state and the clock,
 and stops at absorption or once the clock reaches t_stop (infinite for
@@ -71,14 +74,15 @@ __all__ = [
 
 # Beyond this many logged rows a trajectory keeps simulating but stops
 # recording individual events; occupancy and counters stay exact.  A row
-# costs 10 B in the finished Trajectory for n <= 127 and 11 B up to
-# n = 32,767: a double, the state at the narrowest signed integer type
-# that holds n (_state_dtype), and a flag.  _run records the log in
-# place, so it peaks near that: 10.0 B a row at n = 100 and 11.1 B at
-# n = 1000 (tracemalloc, CPython 3.11).  A plain n = 1000 run that fills
-# the cap peaked at 160 MB resident, 106 MB above the 54 MB of an
-# imported sisq.cli (x86-64 Linux, numpy 2.4); the CLI export adds one
-# chunk of text and its temporaries (about 2.5 MB) whatever the length.
+# costs 9 B in the finished Trajectory for n <= 127 and 10 B up to
+# n = 32,767: a double and the state at the narrowest signed integer type
+# that holds n (_state_dtype); restart flags are derived, not stored.
+# _run records the log in place, so it peaks near that: 9.0 B a row at
+# n = 100 and 10.1 B at n = 1000 (tracemalloc, CPython 3.11).  A plain
+# n = 1000 run that fills the cap peaked at 151 MB resident, 97 MB above
+# the 54 MB of an imported sisq.cli (x86-64 Linux, numpy 2.4); the CLI
+# export adds one chunk of text and its temporaries (about 0.5 MB; 0.6 MB
+# more resident here) whatever the length.
 MAX_LOGGED_EVENTS = 10**7
 
 _BLOCK = 1024
@@ -129,7 +133,7 @@ class Trajectory:
     The first logged row is the initial condition (time 0); every later
     row is an event.  Event times are strictly increasing, except that an
     instantaneous restart shares its clock reading with the absorption row
-    it follows and carries restart_flag True.  Consecutive states differ
+    it follows and is flagged in restart_flags.  Consecutive states differ
     by exactly +-1.
 
     The event log is capped at MAX_LOGGED_EVENTS rows past the initial
@@ -142,7 +146,8 @@ class Trajectory:
         states: logged row states in 0..n, at the narrowest signed
             integer type that holds n (int8 up to n = 127, int16 up to
             32,767).
-        restart_flags: True exactly on instantaneous-restart rows.
+        restart_flags: True exactly on instantaneous-restart rows; a
+            read-only property derived from states, not a stored field.
         t_end: final simulated time (absorption time or the horizon).
         state_time: occupancy clock per state 0..n over [0, t_end]; the
             absorbing state never accumulates time.
@@ -156,7 +161,6 @@ class Trajectory:
     n: int
     times: np.ndarray
     states: np.ndarray
-    restart_flags: np.ndarray
     t_end: float
     state_time: np.ndarray
     n_events: int
@@ -171,10 +175,32 @@ class Trajectory:
         if lo < 0 or hi > self.n:
             raise ValueError(f"states must lie in 0..{self.n}, got {lo if lo < 0 else hi}")
         for name, dtype in (("times", float), ("states", _state_dtype(self.n)),
-                            ("restart_flags", bool), ("state_time", float)):
+                            ("state_time", float)):
             arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def restart_flags(self) -> np.ndarray:
+        """True exactly on instantaneous-restart rows, derived from states
+        on each read (read-only)."""
+        flags = _restart_flags(self.states)
+        flags.flags.writeable = False
+        return flags
+
+
+def _restart_flags(states: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Restart flags of log rows start..stop-1, from the log's state column.
+
+    A restart row is exactly a row whose previous row is at state 0: a
+    plain run stops at its first 0, a restarted run logs the restart
+    right after it, and a truncated log is a prefix.  Row 0, the initial
+    condition, is never one.  So no flag column is stored.
+    """
+    stop = states.size if stop is None else min(stop, states.size)
+    flags = np.zeros(stop - start, dtype=bool)
+    np.equal(states[max(start - 1, 0):max(stop - 1, 0)], 0, out=flags[int(start == 0):])
+    return flags
 
 
 def _state_dtype(n: int) -> np.dtype:
@@ -264,17 +290,11 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
             # frombytes reads a column's buffer, in byte-sized items only.
             times.frombytes(clocks[np.cumsum(prev[:kept] != 0) - 1].view(np.uint8))
             states.frombytes(rows[:kept].view(np.uint8))
-    # Views of the columns, not copies.  A restart row is exactly a row
-    # whose previous row is at state 0: plain runs stop there, and a
-    # truncated log is a prefix.
-    states_arr = np.frombuffer(states, dtype=narrow)
-    flags = np.zeros(states_arr.size, dtype=bool)
-    np.equal(states_arr[:-1], 0, out=flags[1:])
+    # Views of the columns, not copies.
     return Trajectory(
         n=p.n,
         times=np.frombuffer(times),
-        states=states_arr,
-        restart_flags=flags,
+        states=np.frombuffer(states, dtype=narrow),
         t_end=t,
         state_time=state_time,
         n_events=n_events,

@@ -244,16 +244,19 @@ def flux_bisection_reference(p: ModelParams) -> tuple[float, np.ndarray]:
 
 
 def run_reference(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
-                  restarted: bool) -> sim.Trajectory:
+                  restarted: bool) -> tuple[sim.Trajectory, np.ndarray]:
     """The recording loop `sim._run` as it stood with an index into each block.
 
     Kept verbatim apart from reading the block size and the log cap from
     `sisq.sim` at call time, so a test that patches either patches both
-    loops alike.
+    loops alike, and from returning the restart flag of each logged row,
+    set where the loop restarts, beside the Trajectory, which derives its
+    own from the states.
     """
     births, totals = sim._rates(p)
     times = [0.0]
     states = [y0]
+    flags = [False]
     state_time = [0.0] * (p.n + 1)
     state = y0
     t = 0.0
@@ -265,7 +268,8 @@ def run_reference(p: ModelParams, y0: int, t_max: float, gen: np.random.Generato
     unis: list = []
     k = sim._BLOCK
     while True:
-        if state == 0:
+        restart = state == 0
+        if restart:
             if not restarted:
                 break
             n_restarts += 1
@@ -290,21 +294,20 @@ def run_reference(p: ModelParams, y0: int, t_max: float, gen: np.random.Generato
         if len(times) < cap:
             times.append(t)
             states.append(state)
+            flags.append(restart)
         else:
             truncated = True
-    states_arr = np.asarray(states)
     return sim.Trajectory(
         n=p.n,
         times=np.asarray(times),
-        states=states_arr,
-        restart_flags=np.concatenate(([False], states_arr[:-1] == 0)),
+        states=np.asarray(states),
         t_end=t,
         state_time=np.asarray(state_time),
         n_events=n_events,
         n_restarts=n_restarts,
         final_state=state,
         log_truncated=truncated,
-    )
+    ), np.asarray(flags)
 
 
 def jump_reference(births: list, totals: list, state: int, t_stop: float,

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +40,44 @@ def test_params_reject_rate_ratio_outside_doubles(lam, gamma, r0):
         ModelParams(5, lam, gamma)
     assert str(info.value) == (f"R0 = lambda/gamma must be a positive finite double, "
                                f"got {r0} from lambda={lam!r}, gamma={gamma!r}")
+
+
+def _doubles_around(x: float) -> set:
+    """x and the finite doubles within two steps of it."""
+    out, lo, hi = {x}, x, x
+    for _ in range(2):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        out |= {lo, hi}
+    return {v for v in out if v < math.inf}
+
+
+def test_params_refuse_rates_past_the_double_range():
+    # ModelParams(3, 1e308, 1e308) used to give births [0.0, inf, inf, nan],
+    # and a run at it reported an absorption at time 0.0.  On a grid within
+    # two doubles of each edge, a point is refused exactly when its rates,
+    # or a sum b + d of them, hold a value that is not finite.
+    big = sys.float_info.max
+    refused = accepted = 0
+    for n in (1, 2, 3, 4, 5, 7, 10, 11, 100, 1001):
+        h = n // 2
+        lams = set().union(*map(_doubles_around, (big / max(h * (n - h), 1), big / n,
+                                                  big / max(h * (n - h), 1) / 2)))
+        gammas = {1.0}.union(*map(_doubles_around, (big / n, big / (2 * n), 0.75 * big / n)))
+        for lam in lams:
+            for gamma in gammas:
+                b, d = rates(SimpleNamespace(n=n, lam=lam, gamma=gamma))
+                finite = all(map(math.isfinite, b + d + [x + y for x, y in zip(b, d)]))
+                try:
+                    ModelParams(n, lam, gamma)
+                except ValueError as exc:
+                    assert not finite and str(exc) == (
+                        f"the event rates of n={n}, lambda={lam!r}, gamma={gamma!r} "
+                        "exceed the double range; use smaller rates"), (n, lam, gamma)
+                    refused += 1
+                else:
+                    assert finite, (n, lam, gamma)
+                    accepted += 1
+    assert refused > 1000 and accepted > 900
 
 
 def test_params_defaults_and_r0():

@@ -300,6 +300,17 @@ def test_rate_ratio_outside_doubles_is_refused(capsys, command, lam, gamma, r0):
                    f"got {r0} from lambda={float(lam)!r}, gamma={float(gamma)!r}\n")
 
 
+def test_rates_past_the_double_range_are_refused(capsys):
+    # Used to print an absorption at time 0.0: births held inf and NaN, and
+    # a NaN wait fell past every clock.
+    code, out, err = run_cli(capsys, "simulate", "--mode", "plain", "--n", "3",
+                             "--lambda", "1e308", "--gamma", "1e308", "--t-max", "1e-300",
+                             "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == ("error: the event rates of n=3, lambda=1e+308, gamma=1e+308 exceed "
+                   "the double range; use smaller rates\n")
+
+
 @pytest.mark.parametrize("command", [
     ("qsd", "--n", "10"),
     ("compare", "--n-grid", "10,20"),
@@ -533,6 +544,32 @@ def test_trajectory_output_bytes_are_pinned(case, fmt, tmp_path, capsys, monkeyp
     assert (1 in flags) is (case in ("restarted", "truncated"))
 
 
+def test_each_trajectory_kernel_is_reached_through_its_module_binding(tmp_path, monkeypatch):
+    # The traced benchmark wraps sisq.sim's public functions and rebinds
+    # every module attribute that holds one (bench/tracing.install).  A
+    # command that reached a kernel by another binding, a default argument
+    # say, would drop that kernel's span and events from the traced
+    # trajectory run, which sums both kernels' events and so cannot tell.
+    calls = dict.fromkeys(("simulate", "simulate_restarted"), 0)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "sisq"]
+    for name in calls:
+        kernel = getattr(sisq.sim, name)
+
+        def counted(*args, _kernel=kernel, _name=name, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is kernel:
+                    monkeypatch.setattr(mod, attr, counted)
+    for mode, want in (("plain", {"simulate": 1, "simulate_restarted": 0}),
+                       ("restarted", {"simulate": 1, "simulate_restarted": 1})):
+        assert main(["simulate", "--mode", mode, "--n", "10", "--r0", "2", "--t-max", "5",
+                     "--seed", "1", "--output", str(tmp_path / f"{mode}.csv")]) == 0
+        assert calls == want, mode
+
+
 # Rows of the cases: restarted 371, plain 34, one_row 1, truncated 6, so
 # that every chunk size but 1 leaves a short last chunk on some case.
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 17])
@@ -570,9 +607,9 @@ def test_mixed_computed_and_repr_times_export_as_reference(fmt, to_stdout, chunk
     monkeypatch.setattr(sisq.cli, "_CHUNK", chunk)
     tr = sisq.sim.Trajectory(
         n=10, times=_MIXED_TIMES, states=[1, 2, 1, 0, 1, 2, 3, 2, 1, 0, 1, 2],
-        restart_flags=[False] * 4 + [True] + [False] * 5 + [True, False],
         t_end=2.0 ** 61, state_time=[0.0] * 11, n_events=11, n_restarts=2,
         final_state=2, log_truncated=False)
+    assert tr.restart_flags.tolist() == [False] * 4 + [True] + [False] * 5 + [True, False]
     target = tmp_path / f"traj.{fmt}"
     args = sisq.cli._build_parser().parse_args(
         ("simulate", "--mode", "restarted", "--n", "10", "--r0", "2", "--t-max", "1e20",
@@ -633,8 +670,7 @@ def test_trajectory_output_memory_does_not_grow_with_the_log(fmt, long_run, tmp_
     peaks = []
     for rows in sizes:
         tr = dataclasses.replace(long_run, times=long_run.times[:rows],
-                                 states=long_run.states[:rows],
-                                 restart_flags=long_run.restart_flags[:rows])
+                                 states=long_run.states[:rows])
         tracemalloc.start()
         try:
             sisq.cli._trajectory_output(args, tr)
@@ -646,14 +682,14 @@ def test_trajectory_output_memory_does_not_grow_with_the_log(fmt, long_run, tmp_
 
 def test_restarted_command_memory_per_row(tmp_path):
     # Marginal tracemalloc peak of the whole command, run plus export,
-    # between two horizons (about 488k and 976k rows): held to the bound of
-    # _run alone, 14 B a row (test_run_memory_per_logged_row).  The export
-    # is formatted in this process one chunk at a time, so what it adds to
+    # between two horizons (about 488k and 976k rows).  The export is
+    # formatted in this process one chunk at a time, so what it adds to
     # the peak does not grow with the log
     # (test_trajectory_output_memory_does_not_grow_with_the_log).  These
     # logs are long enough that the run, not the export's one chunk of
     # text, sets the peak: joining the log at the end of the run cost
-    # 17.3 B a row here, recording it in place 10.9 B.
+    # 17.3 B a row here, recording it in place 10.9 B, and 9.9 B with the
+    # flags derived from the states instead of stored.
     rows, peaks = [], []
     for t_max in ("5000", "10000"):
         target = tmp_path / f"traj{t_max}.csv"
@@ -668,7 +704,7 @@ def test_restarted_command_memory_per_row(tmp_path):
         with target.open() as f:
             rows.append(sum(1 for _ in f) - 1)
     assert rows[1] - rows[0] > 400_000
-    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 14, (rows, peaks)
+    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 10.5, (rows, peaks)
 
 
 def test_ensemble_csv_requires_output_path(capsys):

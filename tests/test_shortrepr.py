@@ -5,6 +5,8 @@ cases below also check that no input, NaN, infinities and subnormals
 included, makes the formatter warn (log10 of 0, say).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from _oracles import assert_same_rows
@@ -12,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sisq import _shortrepr
+from sisq.chain import ModelParams
+from sisq.sim import SeedSpec, simulate_restarted
 
 _NEWLINE = _shortrepr.byte_table(["\n"])
 
@@ -115,3 +119,24 @@ def test_table_entries_follow_each_row():
     want = "0.0,12\n1.152921504606847e+18,0\n0.11e-05,12\n7.25,0\n"
     assert _shortrepr.time_text(x, keys, table) == want
     assert _shortrepr.keyed_text(keys, table) == ",12\n,0\n,12\n,0\n"
+
+
+def test_chunk_memory_per_row():
+    # Peak allocation of one 16,384-row chunk: the first rows of a
+    # restarted run, whose times run from below 1e-3 to about 180.  The
+    # digit search and the text are worked on in place, so it peaks at
+    # 65 B a row, on the digit-search side; it was 137 B a row with a
+    # fresh array for every step.
+    tr = simulate_restarted(ModelParams(100, 2.0), 200.0, SeedSpec(1))
+    rows = 1 << 14
+    times = tr.times[:rows]
+    keys = tr.states[:rows].astype(np.intp)
+    table = _shortrepr.byte_table([f",{state}\n" for state in range(101)])
+    tracemalloc.start()
+    try:
+        text = _shortrepr.time_text(times, keys, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "".join(f"{t!r},{s}\n" for t, s in zip(times.tolist(), keys.tolist()))
+    assert peak / rows <= 72, peak

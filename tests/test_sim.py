@@ -126,9 +126,8 @@ def test_trajectory_refuses_states_outside_0_to_n(states, bad):
     # [100, 44] next to final_state=300; a list raised numpy's OverflowError
     with pytest.raises(ValueError, match=rf"states must lie in 0\.\.100, got {bad}$"):
         Trajectory(n=100, times=np.arange(len(states), dtype=float), states=states,
-                   restart_flags=[False] * len(states), t_end=5.0,
-                   state_time=[0.0] * 101, n_events=len(states) - 1, n_restarts=0,
-                   final_state=300, log_truncated=False)
+                   t_end=5.0, state_time=[0.0] * 101, n_events=len(states) - 1,
+                   n_restarts=0, final_state=300, log_truncated=False)
 
 
 @pytest.mark.parametrize("horizon", [math.inf, math.nan])
@@ -278,24 +277,30 @@ def test_log_cap_at_the_real_block_size(monkeypatch, cap):
 def test_log_cap_where_the_log_grows(monkeypatch):
     # _run grows its log columns at the end of each draw block.  These caps
     # cut the log on and next to the end of the first block, of the first
-    # block past 65,536 rows, and at 65,536 itself.  About 114k rows with
-    # about 14k restarts.
+    # block past 65,536 rows, at 65,536 itself and at the first absorption
+    # past it.  About 114k rows with about 14k restarts.  The restart flags,
+    # derived from the states, are checked against those the reference
+    # loop sets where it restarts.
     p, t_max, seed = ModelParams(5, 1.5), 3e4, 1
     full = simulate_restarted(p, t_max, SeedSpec(seed))
     assert full.times.size > 100_000 and full.n_restarts > 10_000
-    _assert_kernels_match_reference(p, seed, "restarted", 1, t_max)
+    _, ref_flags = _assert_kernels_match_reference(p, seed, "restarted", 1, t_max)
+    want = {"times": full.times, "states": full.states, "restart_flags": ref_flags}
     # The last row of each block: its last jump, or the restart row after it.
     ends = _jump_rows(full)[sim_module._BLOCK - 1::sim_module._BLOCK]
     ends += full.states[ends] == 0
-    grown = (int(ends[0]), int(ends[ends > 65_536][0]), 65_536)
+    # An absorption past 65,536 rows, its restart row the first one dropped.
+    absorbed = np.flatnonzero(full.states == 0)
+    grown = (int(ends[0]), int(ends[ends > 65_536][0]), 65_536,
+             int(absorbed[absorbed > 65_536][0]))
     for cap in sorted(c + d for c in grown for d in (-1, 0, 1)):
         monkeypatch.setattr(sim_module, "MAX_LOGGED_EVENTS", cap)
         cut = simulate_restarted(p, t_max, SeedSpec(seed))
         assert cut.log_truncated and cut.states.dtype == np.int8
-        for name in ("times", "states", "restart_flags"):
+        for name, whole in want.items():
             col = getattr(cut, name)
             assert col.size == cap + 1 and not col.flags.writeable, (cap, name)
-            assert np.array_equal(col, getattr(full, name)[:cap + 1]), (cap, name)
+            assert np.array_equal(col, whole[:cap + 1]), (cap, name)
         assert (cut.n_events, cut.n_restarts) == (full.n_events, full.n_restarts)
 
 
@@ -309,8 +314,9 @@ def test_run_memory_per_logged_row(restarted, n, y0, horizons):
     # 59 B a row at n = 100 (states are cached small ints) and 91 B at
     # n = 1000; 8-byte block arrays joined at the end cost about 24 B, and
     # 17.0 and 18.3 B with each block's states at the narrowest type that
-    # holds n.  Recorded in place, with no join, it costs 10.0 and 11.1 B,
-    # about what the finished Trajectory holds.
+    # holds n.  Recorded in place, with no join, it cost 10.0 and 11.1 B
+    # with a stored flag column, and 9.0 and 10.1 B now that the flags are
+    # derived from the states: half a byte over the time and the state.
     p = ModelParams(n, 2.0)
     rows, peaks = [], []
     for t_max in horizons:
@@ -322,7 +328,8 @@ def test_run_memory_per_logged_row(restarted, n, y0, horizons):
             tracemalloc.stop()
         rows.append(tr.times.size)
     assert rows[1] - rows[0] > 40_000
-    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 14, (rows, peaks)
+    bound = tr.times.itemsize + tr.states.itemsize + 0.5
+    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= bound, (rows, peaks)
 
 
 def _jump_rows(tr: Trajectory) -> np.ndarray:
@@ -336,7 +343,7 @@ def test_horizon_at_the_first_jump_of_a_block(monkeypatch, block):
     # the first jump of the second, which meets it with the carried clock.
     monkeypatch.setattr(sim_module, "_BLOCK", block)
     p, y0, seed = ModelParams(100, 2.0), 50, 4
-    full = run_reference(p, y0, 1e3, SeedSpec(seed).generator(), False)
+    full, _ = run_reference(p, y0, 1e3, SeedSpec(seed).generator(), False)
     rows = _jump_rows(full)
     t_max = (full.times[rows[block - 1]] + full.times[rows[block]]) / 2
     tr = sim_module._run(p, y0, t_max, SeedSpec(seed).generator(), False)
@@ -350,7 +357,7 @@ def test_absorption_on_the_last_draw_of_a_block(monkeypatch, block):
     # falls before the next jump, so it also ends the log.
     monkeypatch.setattr(sim_module, "_BLOCK", block)
     p, seed = ModelParams(2, 1.0), 9
-    full = run_reference(p, 1, 5e3, SeedSpec(seed).generator(), True)
+    full, _ = run_reference(p, 1, 5e3, SeedSpec(seed).generator(), True)
     last_draws = _jump_rows(full)[block - 1::block]
     row = int(last_draws[full.states[last_draws] == 0][0])
     t_max = (full.times[row] + full.times[row + 2]) / 2
@@ -375,7 +382,7 @@ def test_log_cap_between_absorption_and_restart(monkeypatch, block):
     # one dropped.  One such row early in the log and one past 1,500 rows.
     monkeypatch.setattr(sim_module, "_BLOCK", block)
     p, t_max, seed = ModelParams(5, 1.5), 1000.0, 1
-    full = run_reference(p, 1, t_max, SeedSpec(seed).generator(), True)
+    full, _ = run_reference(p, 1, t_max, SeedSpec(seed).generator(), True)
     absorbed = np.flatnonzero(full.states == 0)
     for row in (int(absorbed[0]), int(absorbed[absorbed > 1500][0])):
         monkeypatch.setattr(sim_module, "MAX_LOGGED_EVENTS", row)
@@ -586,18 +593,25 @@ def test_standard_error_degenerate():
     assert s.replicates == 1
 
 
-def _assert_same_trajectory(got: Trajectory, want: Trajectory) -> None:
-    for f in dataclasses.fields(Trajectory):
-        a, b = getattr(got, f.name), getattr(want, f.name)
+def _assert_same_trajectory(got: Trajectory, want: tuple[Trajectory, np.ndarray]) -> None:
+    """Every field of `got` as in the reference, and its derived restart
+    flags as the ones the reference loop set where it restarted."""
+    want, want_flags = want
+    pairs = [(f.name, getattr(got, f.name), getattr(want, f.name))
+             for f in dataclasses.fields(Trajectory)]
+    for name, a, b in pairs + [("restart_flags", got.restart_flags, want_flags)]:
         if isinstance(b, np.ndarray):
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         else:
-            assert (type(a), a) == (type(b), b), f.name
+            assert (type(a), a) == (type(b), b), name
 
 
 def _assert_kernels_match_reference(p: ModelParams, seed: int, mode: str,
-                                    start: int, t_stop: float) -> None:
-    """One case of a kernel against its frozen oracle: same result, same draws."""
+                                    start: int, t_stop: float):
+    """One case of a kernel against its frozen oracle: same result, same draws.
+
+    Returns the oracle's result: (Trajectory, restart flags) for a run.
+    """
     gen, ref_gen = SeedSpec(seed).generator(), SeedSpec(seed).generator()
     if mode == "jump":
         births, totals = sim_module._rates(p)
@@ -606,9 +620,10 @@ def _assert_kernels_match_reference(p: ModelParams, seed: int, mode: str,
         assert (type(got[1]), got) == (type(want[1]), want)
     else:
         restarted = mode == "restarted"
-        _assert_same_trajectory(sim_module._run(p, start, t_stop, gen, restarted),
-                                run_reference(p, start, t_stop, ref_gen, restarted))
+        want = run_reference(p, start, t_stop, ref_gen, restarted)
+        _assert_same_trajectory(sim_module._run(p, start, t_stop, gen, restarted), want)
     np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+    return want
 
 
 def _kernel_grid_cases():
@@ -631,13 +646,23 @@ def _kernel_grid_cases():
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 1024])
 def test_kernels_bit_identical_to_reference(monkeypatch, block):
     monkeypatch.setattr(sim_module, "_BLOCK", block)
+    plain_ends = set()
     for case in _kernel_grid_cases():
-        _assert_kernels_match_reference(*case)
+        want = _assert_kernels_match_reference(*case)
+        if case[2] == "plain":
+            plain_ends.add(want[0].final_state == 0)
     # restarted logs cut at absorption rows and at restart rows alike
+    cut_ends = set()
     for cap in range(1, 9):
         monkeypatch.setattr(sim_module, "MAX_LOGGED_EVENTS", cap)
         for seed in range(3):
-            _assert_kernels_match_reference(ModelParams(2, 1.0), seed, "restarted", 1, 50.0)
+            tr, _ = _assert_kernels_match_reference(ModelParams(2, 1.0), seed, "restarted", 1, 50.0)
+            assert tr.log_truncated
+            cut_ends.add(int(tr.states[-1]))
+    # The derived restart flags met plain runs that end at 0 and at the
+    # horizon, and truncated logs that end between an absorption and its
+    # restart (at 0) and on a restart row (at 1).
+    assert plain_ends == {True, False} and {0, 1} <= cut_ends
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
