@@ -6,8 +6,9 @@ and state 0 (disease extinct) is absorbing.  rates(p) is the one place
 these formulas are stated: two O(n) lists that every downstream module
 reads, the generator over the transient states {1, ..., n} being the
 tridiagonal band they define.  Dense matrices are only ever materialized
-by the spectral module, whose only limit is that it refuses one where
-stationary_distribution(p) has a zero entry.
+by the spectral module, which refuses one where
+stationary_distribution(p) has a zero entry or an off-diagonal product
+b_i * d_{i+1} overflows.
 """
 
 from __future__ import annotations

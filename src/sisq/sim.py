@@ -6,33 +6,33 @@ event is a birth with probability b_i/(b_i + d_i).  No approximation is
 involved anywhere; these trajectories are the empirical oracle the
 analytic modules are checked against.
 
-Two loops implement this.  `_run` is the recorder behind `simulate` and
-`simulate_restarted`: it keeps the event log, the occupancy clocks and
+One loop implements this.  `_walk` walks the state path of a draw block
+in Python: one uniform per jump, plus a restart row after each
+absorption.  numpy then gives the block its clocks (one division by the
+total rates and one cumulative sum) and the row where the horizon falls
+(one `searchsorted`).  Each of these adds in the order a per-event loop
+would, so every double is the one such a loop computes.  The walk reads
+its uniforms through a memoryview, which hands each double out as a
+Python float only when the loop reaches it, so the tail of a block that
+a plain run leaves after absorption is never boxed.  Two callers clock
+the walk:
+
+`_run` is the recorder behind `simulate` and `simulate_restarted`: it
+keeps the event log, the occupancy clocks (one `np.add.at` a block) and
 the restart rows, and stops at the horizon, or at absorption unless
-restarts are on.  Its Python loop walks only the state path of a draw
-block, one uniform per jump plus a restart row after each absorption;
-numpy then gives the block its clocks (one cumulative sum), its
-occupancy (one `np.add.at`) and the row where the horizon falls (one
-`searchsorted`).  Each of these adds in the order a per-event loop
-would, so every double is the one such a loop computes.  Each block's
-rows are appended in place to growable columns (`array.array`), states
-at the narrowest signed integer type that holds n, and the Trajectory
-gets views of them.  The log is never joined or copied, so it peaks near
-what it holds once recorded: 9 B a row (n <= 127) or 10 B (n <= 32,767),
-a time and a state.  No flag column is kept: a restart row is exactly a
-row whose previous row is at state 0, so the flags are derived from the
-states wherever they are read.
+restarts are on.  Each block's rows are appended in place to growable
+columns (`array.array`), states at the narrowest signed integer type
+that holds n, and the Trajectory gets views of them.  The log is never
+joined or copied, so it peaks near what it holds once recorded: 9 B a
+row (n <= 127) or 10 B (n <= 32,767), a time and a state.  No flag
+column is kept: a restart row is exactly a row whose previous row is at
+state 0, so the flags are derived from the states wherever they are
+read.
 `_jump` is the lean sampler behind `conditioned_ensemble` and
 `extinction_time_samples`: it keeps nothing but the state and the clock,
 and stops at absorption or once the clock reaches t_stop (infinite for
-extinction times).  It keeps no log, so it has no bookkeeping to move
-out of its loop and stays a plain event loop.
-
-Both loops take their draws a block at a time: one block of exponentials
-and one of uniforms.  A loop walks a block through a memoryview (`_run`
-its uniforms, `_jump` both blocks zipped), which hands each double out
-as a Python float only when the loop reaches it, so no index is kept and
-the tail of a block that a run leaves unread is never boxed.
+extinction times).  It walks the block that t_stop falls in to its end,
+and its clocks find the jump past t_stop.
 
 Determinism contract: replicate r of a run seeded with SeedSpec(root)
 draws all of its randomness from a Philox4x64 generator keyed with
@@ -217,6 +217,25 @@ def _rates(p: ModelParams) -> tuple[list, list]:
     return births, [b + d for b, d in zip(births, deaths)]
 
 
+def _walk(births: list, totals: list, state: int, unis: np.ndarray,
+          restarted: bool) -> list:
+    """State path of one draw block: `state`, then one row per uniform,
+    plus a restart row after each absorption; a plain run stops at its
+    first 0.
+    """
+    path = [state]
+    append = path.append
+    for u in memoryview(unis):
+        state = state + 1 if u * totals[state] < births[state] else state - 1
+        append(state)
+        if state == 0:
+            if not restarted:
+                break
+            state = 1
+            append(1)
+    return path
+
+
 def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
          restarted: bool) -> Trajectory:
     births, totals = _rates(p)
@@ -235,23 +254,9 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
     running = True
     while running:
         exps = gen.standard_exponential(_BLOCK)
-        # The state path of the block: one row per uniform, plus a restart
-        # row after each absorption.
-        rows = []
-        append = rows.append
-        s = state
-        for u in memoryview(gen.random(_BLOCK)):
-            s = s + 1 if u * totals[s] < births[s] else s - 1
-            append(s)
-            if s == 0:
-                if not restarted:
-                    break
-                s = 1
-                append(1)
-        rows = np.array(rows, dtype=narrow)
-        prev = np.empty_like(rows)
-        prev[0] = state
-        prev[1:] = rows[:-1]
+        path = np.array(_walk(births, totals, state, gen.random(_BLOCK), restarted),
+                        dtype=narrow)
+        rows, prev = path[1:], path[:-1]
         # A restart row follows a row at state 0; every other row is a jump
         # and takes the block's next exponential.  Each wait, clock and
         # occupancy sum is the double a per-event loop computes: the same
@@ -350,8 +355,8 @@ def simulate_restarted(p: ModelParams, t_max: float, seed: SeedSpec) -> Trajecto
     return _run(p, 1, t_max, seed.generator(), restarted=True)
 
 
-def _jump(births: list, totals: list, state: int, t_stop: float,
-          gen: np.random.Generator) -> tuple[int, float]:
+def _jump(births: list, totals: list, total_arr: np.ndarray, state: int,
+          t_stop: float, gen: np.random.Generator) -> tuple[int, float]:
     """Lean sampler: run from transient `state` at time 0 until absorption
     or t >= t_stop.
 
@@ -359,20 +364,21 @@ def _jump(births: list, totals: list, state: int, t_stop: float,
     first event past it).
     """
     t = 0.0
-    birth = births[state]
-    total = totals[state]
     while True:
-        exps = memoryview(gen.standard_exponential(_BLOCK))
-        unis = memoryview(gen.random(_BLOCK))
-        for e, u in zip(exps, unis):
-            t += e / total
-            if t >= t_stop:
-                return state, t
-            state = state + 1 if u * total < birth else state - 1
-            if state == 0:
-                return 0, t
-            birth = births[state]
-            total = totals[state]
+        exps = gen.standard_exponential(_BLOCK)
+        path = np.array(_walk(births, totals, state, gen.random(_BLOCK), False),
+                        dtype=np.intp)
+        clocks = exps[:path.size - 1]
+        clocks /= total_arr[path[:-1]]
+        clocks[0] += t
+        np.cumsum(clocks, out=clocks)
+        jumps = int(np.searchsorted(clocks, t_stop))  # jumps before t_stop
+        if jumps < clocks.size:
+            return int(path[jumps]), float(clocks[jumps])
+        state = int(path[-1])
+        if state == 0:
+            return 0, float(clocks[-1])
+        t = float(clocks[-1])
 
 
 def _initial_state_index(cum: np.ndarray, u: float) -> int:
@@ -390,12 +396,13 @@ def _chunk(args: tuple) -> list:
     """
     p, start, t_stop, seed, lo, hi = args
     births, totals = _rates(p)
+    total_arr = np.array(totals)
     sampled = isinstance(start, np.ndarray)
     out = []
     for r in range(lo, hi):
         gen = seed.generator(r)
         y0 = _initial_state_index(start, gen.random()) + 1 if sampled else start
-        out.append(_jump(births, totals, y0, t_stop, gen))
+        out.append(_jump(births, totals, total_arr, y0, t_stop, gen))
     return out
 
 

@@ -31,7 +31,8 @@ workspace sits beside the n x n basis it returns, so a cold dense call
 peaks at about 2 n^2 doubles whatever was cached before and whatever order
 the propagator is assembled in.  The driver is left at scipy's default
 because another one would round every dense row differently.  The dense
-route is refused where stationary_distribution(p) has a zero entry.
+route is refused where stationary_distribution(p) has a zero entry or a
+symmetrized off-diagonal product b_i * d_{i+1} overflows.
 """
 
 from __future__ import annotations
@@ -315,12 +316,16 @@ def full_decomposition(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     the orthonormal eigenvectors (to 1e-10, LAPACK) as the columns of
     basis, in the same order.
 
-    Refused with ValueError where stationary_distribution(p) has a zero
-    entry, before any O(n^2) allocation.  That is the dense route's only
-    limit: the largest accepted n is 439 at R0 = 0.5, 778 at 1.05, 891 at
-    1.2, 1488 at 2 and 925 at 5.  No n above about 2,030 is accepted at
-    any R0 (that one near R0 = e), because the log-weights span at least
-    about n/e nats and exp underflows past 745.
+    Refused with ValueError, before any O(n^2) allocation, where
+    stationary_distribution(p) has a zero entry or a product b_i * d_{i+1}
+    overflows.  The first is the dense route's only limit on n: the
+    largest accepted n is 439 at R0 = 0.5, 778 at 1.05, 891 at 1.2, 1488
+    at 2 and 925 at 5.  No n above about 2,030 is accepted at any R0 (that
+    one near R0 = e), because the log-weights span at least about n/e nats
+    and exp underflows past 745.  The second refuses rates that
+    ModelParams accepts but whose products pass the double range (near
+    1e154 and above); the product is not split into sqrt(b_i) * sqrt(d_{i+1}),
+    which would round accepted off-diagonals differently.
     """
     from scipy.linalg import eigh_tridiagonal
     if not np.all(stationary_distribution(p) > 0.0):
@@ -329,7 +334,15 @@ def full_decomposition(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
             "spectral route is unavailable at these parameters"
         )
     b, d = map(np.array, rates(p))
-    evals, evecs = eigh_tridiagonal(-(b[1:] + d[1:]), np.sqrt(b[1:-1] * d[2:]))
+    with np.errstate(over="ignore"):
+        off = b[1:-1] * d[2:]
+    if not np.all(np.isfinite(off)):
+        raise ValueError(
+            "an off-diagonal product b_i * d_(i+1) of the symmetrized generator "
+            "exceeds the double range; the dense spectral route is unavailable "
+            "at these parameters"
+        )
+    evals, evecs = eigh_tridiagonal(-(b[1:] + d[1:]), np.sqrt(off))
     return evals[::-1], evecs[:, ::-1]
 
 

@@ -615,7 +615,7 @@ def _assert_kernels_match_reference(p: ModelParams, seed: int, mode: str,
     gen, ref_gen = SeedSpec(seed).generator(), SeedSpec(seed).generator()
     if mode == "jump":
         births, totals = sim_module._rates(p)
-        got = sim_module._jump(births, totals, start, t_stop, gen)
+        got = sim_module._jump(births, totals, np.array(totals), start, t_stop, gen)
         want = jump_reference(births, totals, start, t_stop, ref_gen)
         assert (type(got[1]), got) == (type(want[1]), want)
     else:
@@ -663,6 +663,29 @@ def test_kernels_bit_identical_to_reference(monkeypatch, block):
     # horizon, and truncated logs that end between an absorption and its
     # restart (at 0) and on a restart row (at 1).
     assert plain_ends == {True, False} and {0, 1} <= cut_ends
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 1024])
+def test_sampler_agrees_with_the_recorder(monkeypatch, block):
+    """The two callers of the state-path walk, tied to each other on plain
+    runs: the sampler ends where the recorder does, on the same draws."""
+    monkeypatch.setattr(sim_module, "_BLOCK", block)
+    absorbed = set()
+    for p, seed, mode, y0, t_max in _kernel_grid_cases():
+        if mode != "plain":
+            continue
+        gen, gen2 = SeedSpec(seed).generator(), SeedSpec(seed).generator()
+        births, totals = sim_module._rates(p)
+        state, t = sim_module._jump(births, totals, np.array(totals), y0, t_max, gen)
+        tr = sim_module._run(p, y0, t_max, gen2, False)
+        assert type(t) is float
+        if tr.final_state == 0:
+            assert (state, t) == (0, tr.t_end)
+        else:
+            assert state == tr.final_state and t >= t_max == tr.t_end
+        np.testing.assert_equal(gen.bit_generator.state, gen2.bit_generator.state)
+        absorbed.add(state == 0)
+    assert absorbed == {True, False}
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)

@@ -33,8 +33,8 @@ from sisq.stationary import log_stationary_weights
 N2_LAMBDA1 = (-3.5 + math.sqrt(4.25)) / 2.0
 
 
-# The dense route refuses exactly where stationary_distribution(p) has a
-# zero entry; these are its edges at R0 = 2, 5 and 0.5, the points the
+# On n, the dense route refuses exactly where stationary_distribution(p)
+# has a zero entry; these are its edges at R0 = 2, 5 and 0.5, the points the
 # benchmark's edge probe tries, and sizes past the old n = 4096 cap and
 # past n = 2,025, where no R0 is accepted.
 @pytest.mark.parametrize("n, r0, refused", [
@@ -49,6 +49,24 @@ def test_dense_route_refusal_edge(n, r0, refused):
             transition_matrix(p, 1.0)
     else:
         assert transition_matrix(p, 1.0).shape == (n, n)
+
+
+# Rates ModelParams accepts can still overflow the symmetrized
+# off-diagonal sqrt(b_i * d_(i+1)).  At n = 10 and lambda = gamma = x the
+# largest product is 16.8 x^2, past the double range between x = 1e153
+# and 1e154.  The refusal is named, and no overflow warning comes first.
+@pytest.mark.parametrize("rate, refused", [(1e153, False), (1e154, True)])
+def test_dense_route_refuses_off_diagonal_overflow(rate, refused):
+    p = ModelParams(10, rate, rate)
+    if refused:
+        for call in (full_decomposition, lambda p: conditioned_distribution(p, 1e-150, 1)):
+            with pytest.raises(ValueError, match="off-diagonal product"):
+                call(p)
+    else:
+        evals, basis = full_decomposition(p)
+        assert np.all(np.isfinite(evals)) and np.all(np.isfinite(basis))
+        row = conditioned_distribution(p, 1e-150, 1)
+        assert np.all(row >= 0.0) and row.sum() == pytest.approx(1.0)
 
 
 def test_symmetrized_spectrum_equals_dense_spectrum():
