@@ -8,9 +8,15 @@ analytic modules are checked against.
 
 One loop implements this.  `_walk` walks the state path of a draw block
 in Python: one uniform per jump, plus a restart row after each
-absorption.  numpy then gives the block its clocks (one division by the
-total rates and one cumulative sum) and the row where the horizon falls
-(one `searchsorted`).  Each of these adds in the order a per-event loop
+absorption.  It reads its steps from a table built once per run (and
+once per chunk of replicates): the next state up and down, and per state
+the threshold thr[s], the smallest double u with u * total >= birth.  For
+a fixed positive total, u * total rounds monotonically in u, so the walk
+steps up, `u < thr[s]`, for exactly the doubles u with
+`u * total < birth`; thr[s] is 0 where the birth rate is, at 0 and n.
+numpy then gives the block its clocks (one division by the total rates
+and one cumulative sum) and the row where the horizon falls (one
+`searchsorted`).  Each of these adds in the order a per-event loop
 would, so every double is the one such a loop computes.  The walk reads
 its uniforms through a memoryview, which hands each double out as a
 Python float only when the loop reaches it, so the tail of a block that
@@ -41,7 +47,11 @@ uniform for the initial state when it is sampled from a distribution,
 then alternating blocks of 1024 standard exponentials and 1024 uniforms,
 one (exponential, uniform) pair consumed per attempted event; a restart
 consumes none.  The contract fixes which draws are taken and in what
-order, not how a loop walks a block.  Replicates therefore never share a
+order, not how a loop walks a block, and neither the thresholds nor the
+successor tables change it.  A chunk of replicates builds one Philox and
+puts it, before each replicate, in the state SeedSpec.generator(r)
+starts in (counter 0, key [root, r], an empty buffer), so each replicate
+draws the stream of its own key.  Replicates therefore never share a
 stream, and parallel execution over replicates is observationally
 identical to a serial run.
 """
@@ -49,8 +59,10 @@ identical to a serial run.
 from __future__ import annotations
 
 import array
+import bisect
 import math
 import os
+import struct
 from concurrent import futures
 from dataclasses import dataclass
 
@@ -89,9 +101,11 @@ _BLOCK = 1024
 
 # Refuse extinction sampling and restarted runs whose expected event
 # count exceeds this, and stop a trajectory whose event count passes it:
-# about 40 minutes at the 4.3-4.5M events/s the sampler loop ran (medians
-# of 7 runs at n = 20 and n = 1000) on a 2-core x86-64 host with Python
-# 3.11 and numpy 2.4.
+# about 25 minutes at the 6.9M (n = 20, from the QSD) and 7.2M (n = 1000,
+# R0 = 5) events/s the sampler ran, medians over 5 processes of the
+# median of 7 runs each, on a 2-core x86-64 host with Python 3.11 and
+# numpy 2.4.  That host's speed swings up to 2x (5.4-8.7M events/s over
+# those processes), so the figure is a scale, not a promise.
 _MAX_EXPECTED_EVENTS = 1e10
 
 
@@ -217,7 +231,57 @@ def _rates(p: ModelParams) -> tuple[list, list]:
     return births, [b + d for b, d in zip(births, deaths)]
 
 
-def _walk(births: list, totals: list, state: int, unis: np.ndarray,
+# The bit patterns of nonnegative doubles, as int64, order them as numbers.
+_F64 = struct.Struct("<d")
+_I64 = struct.Struct("<q")
+
+
+def _threshold(birth: float, total: float) -> float:
+    """Smallest double u with u * total >= birth, or 0.0 where birth is 0.
+
+    u * total rounds monotonically in u, so `u < _threshold(b, t)` holds
+    for exactly the doubles u with `u * t < b`.  The quotient b / t lies
+    within an ulp or two of the threshold, and a few steps reach it.
+    Where u * total falls among the subnormals, many doubles u round to
+    one product and the threshold can lie 2**52 steps away; a bisection
+    over the bit patterns of [0, 1] finds it in at most 62 halvings
+    (u = 1 always qualifies: total = birth + death >= birth).
+    """
+    if birth == 0.0:
+        return 0.0
+    u = birth / total
+    for _ in range(4):
+        if u * total < birth:
+            u = math.nextafter(u, math.inf)
+        else:
+            below = math.nextafter(u, 0.0)
+            if below * total < birth:
+                return u
+            u = below
+    lo, hi = 0, _I64.unpack(_F64.pack(1.0))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _F64.unpack(_I64.pack(mid))[0] * total < birth:
+            lo = mid
+        else:
+            hi = mid
+    return _F64.unpack(_I64.pack(hi))[0]
+
+
+def _table(p: ModelParams) -> tuple[list, list, list, np.ndarray]:
+    """What a walk and its clocks read, per state 0..n: the thresholds,
+    the states one up and one down, and the total rates as an array.
+
+    up and down are slices of one list of ints, so a walk at n > 256
+    steps between int objects that already exist.
+    """
+    births, totals = _rates(p)
+    levels = list(range(-1, p.n + 2))
+    return ([_threshold(b, t) for b, t in zip(births, totals)],
+            levels[2:], levels[:-2], np.array(totals))
+
+
+def _walk(thr: list, up: list, down: list, state: int, unis: np.ndarray,
           restarted: bool) -> list:
     """State path of one draw block: `state`, then one row per uniform,
     plus a restart row after each absorption; a plain run stops at its
@@ -226,7 +290,7 @@ def _walk(births: list, totals: list, state: int, unis: np.ndarray,
     path = [state]
     append = path.append
     for u in memoryview(unis):
-        state = state + 1 if u * totals[state] < births[state] else state - 1
+        state = up[state] if u < thr[state] else down[state]
         append(state)
         if state == 0:
             if not restarted:
@@ -238,8 +302,7 @@ def _walk(births: list, totals: list, state: int, unis: np.ndarray,
 
 def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
          restarted: bool) -> Trajectory:
-    births, totals = _rates(p)
-    total_arr = np.array(totals)
+    thr, up, down, total_arr = _table(p)
     narrow = _state_dtype(p.n)
     # The log, grown in place once per draw block from the initial row.
     times = array.array("d", [0.0])
@@ -254,8 +317,8 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
     running = True
     while running:
         exps = gen.standard_exponential(_BLOCK)
-        path = np.array(_walk(births, totals, state, gen.random(_BLOCK), restarted),
-                        dtype=narrow)
+        walk = _walk(thr, up, down, state, gen.random(_BLOCK), restarted)
+        path = np.fromiter(walk, narrow, len(walk))
         rows, prev = path[1:], path[:-1]
         # A restart row follows a row at state 0; every other row is a jump
         # and takes the block's next exponential.  Each wait, clock and
@@ -355,19 +418,20 @@ def simulate_restarted(p: ModelParams, t_max: float, seed: SeedSpec) -> Trajecto
     return _run(p, 1, t_max, seed.generator(), restarted=True)
 
 
-def _jump(births: list, totals: list, total_arr: np.ndarray, state: int,
-          t_stop: float, gen: np.random.Generator) -> tuple[int, float]:
+def _jump(table: tuple, state: int, t_stop: float,
+          gen: np.random.Generator) -> tuple[int, float]:
     """Lean sampler: run from transient `state` at time 0 until absorption
     or t >= t_stop.
 
     Returns (0, absorption time) or (state held at t_stop, time of the
-    first event past it).
+    first event past it).  `table` is _table(p).
     """
+    thr, up, down, total_arr = table
     t = 0.0
     while True:
         exps = gen.standard_exponential(_BLOCK)
-        path = np.array(_walk(births, totals, state, gen.random(_BLOCK), False),
-                        dtype=np.intp)
+        walk = _walk(thr, up, down, state, gen.random(_BLOCK), False)
+        path = np.fromiter(walk, np.intp, len(walk))
         clocks = exps[:path.size - 1]
         clocks /= total_arr[path[:-1]]
         clocks[0] += t
@@ -381,28 +445,50 @@ def _jump(births: list, totals: list, total_arr: np.ndarray, state: int,
         t = float(clocks[-1])
 
 
-def _initial_state_index(cum: np.ndarray, u: float) -> int:
-    """Inverse-CDF tie rule: first index with cumulative >= u."""
-    idx = int(np.searchsorted(cum, u, side="left"))
-    return min(idx, cum.size - 1)
+def _start_state(cum: list, u: float) -> int:
+    """Initial state in 1..n for uniform u, from the cumulative initial
+    distribution `cum` over 1..n.
+
+    Inverse CDF with the tie rule "first state whose cumulative sum
+    reaches u", kept to states with positive mass: u = 0 takes the first
+    of them, and a u above cum[-1], which may fall short of 1 by
+    rounding, takes the last.
+    """
+    first = bisect.bisect_right(cum, 0.0)
+    last = bisect.bisect_left(cum, cum[-1])
+    return min(max(bisect.bisect_left(cum, u), first), last) + 1
+
+
+def _streams(seed: SeedSpec, lo: int, hi: int):
+    """Generators of replicates lo..hi-1 in turn, each valid until the next.
+
+    One Philox serves them all: before each replicate it is set to the
+    state SeedSpec.generator(r) starts in, which differs from replicate
+    lo's only in the key.  Setting a state took 2.3 us, building a
+    Generator 17 us (numpy 2.4, x86-64 Linux).
+    """
+    gen = seed.generator(lo)
+    fresh = gen.bit_generator.state  # counter 0, key [root, lo], empty buffer
+    for r in range(lo, hi):
+        fresh["state"]["key"][1] = r
+        gen.bit_generator.state = fresh
+        yield gen
 
 
 def _chunk(args: tuple) -> list:
     """_jump results for replicates lo..hi-1, replicate r on stream offset r.
 
     `start` is a fixed initial state, or the cumulative initial
-    distribution over 1..n, whose inverse-CDF draw is then the first draw
-    of each replicate's stream.
+    distribution over 1..n as a list, whose inverse-CDF draw is then the
+    first draw of each replicate's stream.
     """
     p, start, t_stop, seed, lo, hi = args
-    births, totals = _rates(p)
-    total_arr = np.array(totals)
-    sampled = isinstance(start, np.ndarray)
+    table = _table(p)
+    sampled = isinstance(start, list)
     out = []
-    for r in range(lo, hi):
-        gen = seed.generator(r)
-        y0 = _initial_state_index(start, gen.random()) + 1 if sampled else start
-        out.append(_jump(births, totals, total_arr, y0, t_stop, gen))
+    for gen in _streams(seed, lo, hi):
+        y0 = _start_state(start, gen.random()) if sampled else start
+        out.append(_jump(table, y0, t_stop, gen))
     return out
 
 
@@ -558,8 +644,9 @@ def extinction_time_samples(
     """Absorption times from an initial state drawn per replicate.
 
     The initial state comes from inverse-CDF sampling of `init` with the
-    tie rule "first index whose cumulative sum reaches u"; the uniform for
-    that draw is the first draw of the replicate's stream.  There is no
+    tie rule "first index whose cumulative sum reaches u", kept to states
+    with positive mass; the uniform for that draw is the first draw of
+    the replicate's stream.  There is no
     horizon: each replicate runs until absorption.  Instead the run is
     refused up front when replicates * gamma * E_1[T] exceeds
     _MAX_EXPECTED_EVENTS (1e10).  That product bounds the expected event
@@ -575,7 +662,7 @@ def extinction_time_samples(
     """
     replicates = _check_count(replicates, "replicates")
     workers = _check_count(workers, "workers")
-    init_cum = np.cumsum(check_probability_vector(init, p.n))
+    init_cum = np.cumsum(check_probability_vector(init, p.n)).tolist()
     # log(replicates * gamma * E_1[T]), gamma * E_1[T] being the sum of
     # the weights as in log_expected_extinction_time.  Summed with numpy's
     # logaddexp: scipy's logsumexp would map in ~0.45 MB of code (scipy

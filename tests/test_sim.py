@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -24,7 +25,11 @@ from sisq.sim import (
     simulate_restarted,
 )
 from sisq.spectral import quasi_stationary_distribution
-from sisq.stationary import log_expected_extinction_time, stationary_distribution
+from sisq.stationary import (
+    check_probability_vector,
+    log_expected_extinction_time,
+    stationary_distribution,
+)
 
 
 def test_seed_spec_validation():
@@ -72,6 +77,23 @@ def test_seed_spec_key_is_exact_for_every_64_bit_seed(root):
     for r in (0, 3):
         want = np.random.Generator(np.random.Philox(key=root + (r << 64))).random(4)
         assert np.array_equal(SeedSpec(root).generator(r).random(4), want)
+
+
+@pytest.mark.parametrize("root", [0, 2**63, 2**64 - 1])
+def test_streams_start_each_replicate_where_its_own_generator_does(root):
+    # One generator re-keyed per replicate, checked fresh and after the
+    # draws of a sampled start: a start uniform and one block of each
+    # kind, so a re-key that kept the counter, buffer or its position
+    # from the replicate before would show.
+    for lo, hi in ((0, 2), (2**63 - 1, 2**63 + 1)):
+        for r, gen in zip(range(lo, hi), sim_module._streams(SeedSpec(root), lo, hi)):
+            want = SeedSpec(root).generator(r)
+            np.testing.assert_equal(gen.bit_generator.state, want.bit_generator.state)
+            for g in (gen, want):
+                g.random()
+                g.standard_exponential(sim_module._BLOCK)
+            assert np.array_equal(gen.random(sim_module._BLOCK), want.random(sim_module._BLOCK))
+            np.testing.assert_equal(gen.bit_generator.state, want.bit_generator.state)
 
 
 def test_distinct_seeds_never_share_a_stream():
@@ -491,6 +513,22 @@ def test_extinction_samples_deterministic_and_parallel_safe():
     assert np.array_equal(a.times, b.times)
 
 
+def test_start_state_keeps_to_states_with_mass():
+    # Masses summing to 1 - 1e-13 are accepted, and a uniform above their
+    # sum takes the last state with mass, not state n, which has none.
+    cum = np.cumsum(check_probability_vector([0.5, 0.5 - 1e-13, 0.0], 3)).tolist()
+    assert sim_module._start_state(cum, math.nextafter(1.0, 0.0)) == 2
+    # The tie rule: the first state whose cumulative sum reaches u, which
+    # for 0 < u <= cum[-1] always has mass; u = 0 takes the first state
+    # with mass.  States 1 and 3 have none.
+    cum = [0.0, 0.25, 0.25, 0.5, 1.0]
+    for u, state in ((0.0, 2), (0.125, 2), (0.25, 2), (math.nextafter(0.25, 1.0), 4),
+                     (0.5, 4), (math.nextafter(0.5, 1.0), 5), (math.nextafter(1.0, 0.0), 5)):
+        assert sim_module._start_state(cum, u) == state, u
+    for u in np.random.default_rng(0).random(1000).tolist():
+        assert sim_module._start_state(cum, u) == int(np.searchsorted(cum, u)) + 1
+
+
 def test_single_host_extinction_law():
     # absorption from state 1 with n = 1 is a bare Exp(gamma) clock
     p = ModelParams(1, 1.0, 2.0)
@@ -615,7 +653,7 @@ def _assert_kernels_match_reference(p: ModelParams, seed: int, mode: str,
     gen, ref_gen = SeedSpec(seed).generator(), SeedSpec(seed).generator()
     if mode == "jump":
         births, totals = sim_module._rates(p)
-        got = sim_module._jump(births, totals, np.array(totals), start, t_stop, gen)
+        got = sim_module._jump(sim_module._table(p), start, t_stop, gen)
         want = jump_reference(births, totals, start, t_stop, ref_gen)
         assert (type(got[1]), got) == (type(want[1]), want)
     else:
@@ -641,6 +679,28 @@ def _kernel_grid_cases():
                     for y0 in sorted({1, n}):
                         yield p, seed, "plain", y0, t_max
                     yield p, seed, "restarted", 1, t_max
+
+
+@pytest.mark.parametrize("n", [1, 2, 10_007])
+def test_walk_thresholds_decide_as_the_rate_product(n):
+    # u < thr[s] against u * totals[s] < births[s], the walk's step test,
+    # at the points around each threshold and at random uniforms: R0 <= 1
+    # and above, rates near 1e-300 (subnormal births among them, where the
+    # threshold lies far from births/totals), and rates at the edge of
+    # what ModelParams accepts.
+    edge = sys.float_info.max / max((n // 2) * (n - n // 2), n) * (1 - 1e-15)
+    rng = np.random.default_rng(n)
+    for lam, gamma in ((0.5, 1.0), (1.0, 1.0), (2.3, 0.9), (1e-300, 1e-300),
+                       (2e-300, 1e-300), (1e-320, 1e-300), (edge / 2, edge), (edge, edge / 2)):
+        p = ModelParams(n, lam, gamma)
+        births, totals = map(np.array, sim_module._rates(p))
+        thr = np.array(sim_module._table(p)[0])
+        assert np.all(thr[[0, n]] == 0.0)
+        points = [0.0, thr, np.nextafter(thr, np.inf), np.maximum(np.nextafter(thr, -np.inf), 0.0),
+                  math.nextafter(1.0, 0.0)]
+        # 10**4 random uniforms, 100 at a time against every state
+        for u in points + np.array_split(rng.random((10**4, 1)), 100):
+            assert np.array_equal(u < thr, u * totals < births), (lam, gamma)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 1024])
@@ -675,8 +735,7 @@ def test_sampler_agrees_with_the_recorder(monkeypatch, block):
         if mode != "plain":
             continue
         gen, gen2 = SeedSpec(seed).generator(), SeedSpec(seed).generator()
-        births, totals = sim_module._rates(p)
-        state, t = sim_module._jump(births, totals, np.array(totals), y0, t_max, gen)
+        state, t = sim_module._jump(sim_module._table(p), y0, t_max, gen)
         tr = sim_module._run(p, y0, t_max, gen2, False)
         assert type(t) is float
         if tr.final_state == 0:
