@@ -338,11 +338,13 @@ def _cmd_simulate(args) -> int:
         _trajectory_output(args, simulate_restarted(p, args.t_max, seed))
         return 0
 
-    if args.format == "csv" and args.output == "-":
-        raise ValueError(
-            "ensemble CSV needs --output so the normal-curve JSON sidecar "
-            "has a destination"
-        )
+    if args.format == "csv":
+        if args.output == "-":
+            raise ValueError(
+                "ensemble CSV needs --output so the normal-curve JSON sidecar "
+                "has a destination"
+            )
+        _check_output(str(Path(args.output).with_suffix(".normal.json")), "--output sidecar")
     res = conditioned_ensemble(
         p, args.replicates, args.t_max, seed, y0=args.y0, workers=args.workers
     )
@@ -438,15 +440,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _check_output(path: str) -> None:
-    """Refuse an --output file that cannot be created, before any computation."""
+def _check_output(path: str, what: str = "--output") -> None:
+    """Refuse an output file (`what` names it) that cannot be created,
+    before any computation."""
     if path == "-":
         return
     target = Path(path)
     if not target.parent.is_dir():
-        raise ValueError(f"--output {path}: directory {target.parent} does not exist")
+        raise ValueError(f"{what} {path}: directory {target.parent} does not exist")
     if target.is_dir():
-        raise ValueError(f"--output {path} is a directory")
+        raise ValueError(f"{what} {path} is a directory")
 
 
 def main(argv=None) -> int:

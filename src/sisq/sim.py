@@ -14,14 +14,15 @@ the threshold thr[s], the smallest double u with u * total >= birth.  For
 a fixed positive total, u * total rounds monotonically in u, so the walk
 steps up, `u < thr[s]`, for exactly the doubles u with
 `u * total < birth`; thr[s] is 0 where the birth rate is, at 0 and n.
-numpy then gives the block its clocks (one division by the total rates
-and one cumulative sum) and the row where the horizon falls (one
-`searchsorted`).  Each of these adds in the order a per-event loop
-would, so every double is the one such a loop computes.  The walk reads
-its uniforms through a memoryview, which hands each double out as a
-Python float only when the loop reaches it, so the tail of a block that
-a plain run leaves after absorption is never boxed.  Two callers clock
-the walk:
+One clock times it.  `_clock` gives the block's jumps their waits and
+clocks in numpy (one in-place division of the exponentials by the total
+rates of the states left, one cumulative sum) and counts the jumps
+before the horizon (one `searchsorted`).  Each of these adds in the
+order a per-event loop would, so every double is the one such a loop
+computes.  The walk reads its uniforms through a memoryview, which hands
+each double out as a Python float only when the loop reaches it, so the
+tail of a block that a plain run leaves after absorption is never boxed.
+Two callers walk and clock each block:
 
 `_run` is the recorder behind `simulate` and `simulate_restarted`: it
 keeps the event log, the occupancy clocks (one `np.add.at` a block) and
@@ -38,7 +39,10 @@ read.
 `extinction_time_samples`: it keeps nothing but the state and the clock,
 and stops at absorption or once the clock reaches t_stop (infinite for
 extinction times).  It walks the block that t_stop falls in to its end,
-and its clocks find the jump past t_stop.
+and its clocks find the jump past t_stop.  A chunk of replicates writes
+each result straight into two preallocated columns, the states and the
+times (16 B a replicate), and a pool's chunks are joined column by
+column, so no replicate's result outlives `_jump` as a Python object.
 
 Determinism contract: replicate r of a run seeded with SeedSpec(root)
 draws all of its randomness from a Philox4x64 generator keyed with
@@ -300,6 +304,25 @@ def _walk(thr: list, up: list, down: list, state: int, unis: np.ndarray,
     return path
 
 
+def _clock(exps: np.ndarray, before: np.ndarray, total_arr: np.ndarray, t: float,
+           t_stop: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Waits and clocks of a block's jumps, and how many fall before t_stop.
+
+    `before` holds the state each jump leaves, in order.  The waits are
+    the block's first before.size exponentials, divided in place by
+    those states' total rates (a view of exps).  The clocks are t plus
+    the running sum of the waits.  Each is the double a per-event loop
+    computes: the same division, and cumsum adds left to right as it
+    does.  The count is the number of clocks below t_stop.
+    """
+    waits = exps[:before.size]
+    waits /= total_arr[before]
+    clocks = waits.copy()
+    clocks[0] += t
+    np.cumsum(clocks, out=clocks)
+    return waits, clocks, int(np.searchsorted(clocks, t_stop))
+
+
 def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
          restarted: bool) -> Trajectory:
     thr, up, down, total_arr = _table(p)
@@ -321,16 +344,11 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
         path = np.fromiter(walk, narrow, len(walk))
         rows, prev = path[1:], path[:-1]
         # A restart row follows a row at state 0; every other row is a jump
-        # and takes the block's next exponential.  Each wait, clock and
-        # occupancy sum is the double a per-event loop computes: the same
-        # division, and cumsum and add.at add left to right as it does.
+        # and takes the block's next exponential.  add.at sums occupancy
+        # left to right, as a per-event loop does.
         jump_rows = np.flatnonzero(prev)
         before = prev[jump_rows]
-        waits = exps[:jump_rows.size] / total_arr[before]
-        clocks = waits.copy()
-        clocks[0] += t
-        np.cumsum(clocks, out=clocks)
-        jumps = int(np.searchsorted(clocks, t_max))  # jumps before the horizon
+        waits, clocks, jumps = _clock(exps, before, total_arr, t, t_max)
         np.add.at(state_time, before[:jumps], waits[:jumps])
         if jumps < clocks.size:
             if jumps:
@@ -432,11 +450,7 @@ def _jump(table: tuple, state: int, t_stop: float,
         exps = gen.standard_exponential(_BLOCK)
         walk = _walk(thr, up, down, state, gen.random(_BLOCK), False)
         path = np.fromiter(walk, np.intp, len(walk))
-        clocks = exps[:path.size - 1]
-        clocks /= total_arr[path[:-1]]
-        clocks[0] += t
-        np.cumsum(clocks, out=clocks)
-        jumps = int(np.searchsorted(clocks, t_stop))  # jumps before t_stop
+        _, clocks, jumps = _clock(exps, path[:-1], total_arr, t, t_stop)
         if jumps < clocks.size:
             return int(path[jumps]), float(clocks[jumps])
         state = int(path[-1])
@@ -475,8 +489,9 @@ def _streams(seed: SeedSpec, lo: int, hi: int):
         yield gen
 
 
-def _chunk(args: tuple) -> list:
-    """_jump results for replicates lo..hi-1, replicate r on stream offset r.
+def _chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """_jump results for replicates lo..hi-1, replicate r on stream offset r,
+    as two columns: the states and the times, 16 B a replicate.
 
     `start` is a fixed initial state, or the cumulative initial
     distribution over 1..n as a list, whose inverse-CDF draw is then the
@@ -485,11 +500,11 @@ def _chunk(args: tuple) -> list:
     p, start, t_stop, seed, lo, hi = args
     table = _table(p)
     sampled = isinstance(start, list)
-    out = []
-    for gen in _streams(seed, lo, hi):
+    states, times = np.empty(hi - lo, np.intp), np.empty(hi - lo)
+    for k, gen in enumerate(_streams(seed, lo, hi)):
         y0 = _start_state(start, gen.random()) if sampled else start
-        out.append(_jump(table, y0, t_stop, gen))
-    return out
+        states[k], times[k] = _jump(table, y0, t_stop, gen)
+    return states, times
 
 
 def _check_count(value: int, what: str) -> int:
@@ -500,8 +515,9 @@ def _check_count(value: int, what: str) -> int:
 
 
 def _fan_out(p: ModelParams, start, t_stop: float, seed: SeedSpec,
-             replicates: int, workers: int) -> list:
-    """_chunk over all replicates, in replicate order.
+             replicates: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """_chunk over all replicates, in replicate order: its state and time
+    columns, each chunk's joined in order when a pool ran them.
 
     Runs on min(workers, usable CPUs, replicates) processes; 1 runs
     serially.  The usable CPUs are the ones this process may run on (its
@@ -521,7 +537,8 @@ def _fan_out(p: ModelParams, start, t_stop: float, seed: SeedSpec,
     edges = np.linspace(0, replicates, procs + 1).astype(int).tolist()
     args = [(p, start, t_stop, seed, lo, hi) for lo, hi in zip(edges, edges[1:])]
     with futures.ProcessPoolExecutor(max_workers=procs) as pool:
-        return [x for part in pool.map(_chunk, args) for x in part]
+        states, times = zip(*pool.map(_chunk, args))
+    return np.concatenate(states), np.concatenate(times)
 
 
 @dataclass(frozen=True)
@@ -599,12 +616,12 @@ def conditioned_ensemble(
     workers = _check_count(workers, "workers")
     y0 = check_state(p, y0, "initial state")
     t_snap = _check_horizon(t_snap)
-    runs = _fan_out(p, y0, t_snap, seed, replicates, workers)
+    states, _ = _fan_out(p, y0, t_snap, seed, replicates, workers)
     return EnsembleResult(
         n=p.n,
         t_snap=t_snap,
         replicates=replicates,
-        survivor_states=np.array([s for s, _ in runs if s > 0], dtype=np.int64),
+        survivor_states=states[states > 0],
     )
 
 
@@ -674,5 +691,5 @@ def extinction_time_samples(
             "expected events (replicates * gamma * E_1[T]), beyond the budget of "
             f"1e{math.log10(_MAX_EXPECTED_EVENTS):.0f} events; use the exact or qsd method"
         )
-    times = [t for _, t in _fan_out(p, init_cum, math.inf, seed, replicates, workers)]
-    return ExtinctionSamples(times=np.asarray(times))
+    _, times = _fan_out(p, init_cum, math.inf, seed, replicates, workers)
+    return ExtinctionSamples(times=times)

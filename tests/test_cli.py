@@ -823,6 +823,21 @@ def test_missing_output_directory_is_refused_before_any_run(tmp_path, capsys, mo
     assert os.listdir(tmp_path) == []
 
 
+def test_ensemble_sidecar_directory_is_refused_before_any_run(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before the sidecar was checked")
+
+    monkeypatch.setattr(sisq.sim, "_fan_out", refuse)
+    sidecar = tmp_path / "h.normal.json"
+    sidecar.mkdir()
+    code, out, err = run_cli(capsys, "simulate", "--mode", "ensemble", "--n", "1000",
+                             "--r0", "5", "--t-max", "10", "--seed", "1",
+                             "--replicates", "200", "--output", str(tmp_path / "h.csv"))
+    assert code == 1 and out == ""
+    assert err == f"error: --output sidecar {sidecar} is a directory\n"
+    assert os.listdir(tmp_path) == ["h.normal.json"]
+
+
 def test_failed_write_is_an_error_not_a_traceback(tmp_path, capsys, monkeypatch):
     def disk_full(path, pieces):
         raise OSError(28, "No space left on device")
