@@ -11,8 +11,12 @@ Commands
 Model parameters are given as --n with exactly one of --lambda or --r0;
 --gamma defaults to 1.  Machine-readable output goes to --output (default
 stdout), diagnostics to stderr, and every command is deterministic given
-its full flag set.  CSV cells use shortest round-trip decimal formatting;
-JSON documents are a single object carrying schema_version.
+its full flag set.  JSON documents are a single object carrying
+schema_version.  A table command (all but the trajectory modes of
+simulate) builds only its document and names its CSV columns; its CSV is
+that document's table, written by _write_table, with shortest round-trip
+decimals and an empty cell for null.  The trajectory modes stream their
+event log in chunks in either format.
 """
 
 from __future__ import annotations
@@ -71,14 +75,30 @@ def _write(path: str, pieces) -> None:
             f.writelines(pieces)
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(c) for c in row) for row in rows)
-    _write(path, ["\n".join(lines) + "\n"])
-
-
 def _write_json(path: str, obj: dict) -> None:
     _write(path, [json.dumps(obj, indent=2) + "\n"])
+
+
+def _write_table(args, doc: dict, header: list) -> None:
+    """Write `doc` to --output as JSON, or as the CSV table of `header`.
+
+    A CSV cell comes from the first of: the row's record (an item of the
+    document's list of dicts), entry i of a list of the document, or a
+    scalar of the document or of its params, repeated on every row.
+    """
+    if args.format == "json":
+        _write_json(args.output, doc)
+        return
+    records = next((v for v in doc.values()
+                    if isinstance(v, list) and v and isinstance(v[0], dict)), [{}])
+    scalars = {**doc.get("params", {}), **doc}
+    columns = [[r[name] for r in records] if name in records[0] else scalars[name]
+               for name in header]
+    size = max(len(c) for c in columns if isinstance(c, list))
+    columns = [c if isinstance(c, list) else [c] * size for c in columns]
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt_cell(c) for c in row) for row in zip(*columns))
+    _write(args.output, ["\n".join(lines) + "\n"])
 
 
 def _params_json(p: ModelParams) -> dict:
@@ -134,18 +154,13 @@ def _params_from_args(args, n: int | None = None) -> ModelParams:
 
 def _cmd_stationary(args) -> int:
     p = _params_from_args(args)
-    pi = stationary_distribution(p)
-    if args.format == "csv":
-        rows = [(k + 1, pi[k]) for k in range(p.n)]
-        _write_csv(args.output, ["state", "pi_hat"], rows)
-    else:
-        _write_json(args.output, {
-            "schema_version": SCHEMA_VERSION,
-            "command": "stationary",
-            "params": _params_json(p),
-            "state": list(range(1, p.n + 1)),
-            "pi_hat": [float(x) for x in pi],
-        })
+    _write_table(args, {
+        "schema_version": SCHEMA_VERSION,
+        "command": "stationary",
+        "params": _params_json(p),
+        "state": list(range(1, p.n + 1)),
+        "pi_hat": stationary_distribution(p).tolist(),
+    }, ["state", "pi_hat"])
     return 0
 
 
@@ -153,23 +168,16 @@ def _cmd_qsd(args) -> int:
     p = _params_from_args(args)
     r = quasi_stationary_distribution(p)
     et = expected_time_qsd(p)
-    log_et = math.log(et)
-    if args.format == "csv":
-        header = ["state", "q_tilde", "lambda1", "expected_time_qsd",
-                  "log_expected_time_qsd"]
-        rows = [(k + 1, r.qsd[k], r.lambda1, et, log_et) for k in range(p.n)]
-        _write_csv(args.output, header, rows)
-    else:
-        _write_json(args.output, {
-            "schema_version": SCHEMA_VERSION,
-            "command": "qsd",
-            "params": _params_json(p),
-            "state": list(range(1, p.n + 1)),
-            "q_tilde": [float(x) for x in r.qsd],
-            "lambda1": r.lambda1,
-            "expected_time_qsd": et,
-            "log_expected_time_qsd": log_et,
-        })
+    _write_table(args, {
+        "schema_version": SCHEMA_VERSION,
+        "command": "qsd",
+        "params": _params_json(p),
+        "state": list(range(1, p.n + 1)),
+        "q_tilde": r.qsd.tolist(),
+        "lambda1": r.lambda1,
+        "expected_time_qsd": et,
+        "log_expected_time_qsd": math.log(et),
+    }, ["state", "q_tilde", "lambda1", "expected_time_qsd", "log_expected_time_qsd"])
     return 0
 
 
@@ -212,20 +220,12 @@ def _cmd_extinction_time(args) -> int:
             raise ValueError(f"unknown method {method!r}")
         if method == "simulate" and args.seed is None:
             raise ValueError("--method simulate requires --seed")
-    records = [_extinction_record(p, m, args) for m in methods]
-    if args.format == "csv":
-        header = ["method", "n", "lambda", "gamma", "r0", "value",
-                  "log_value", "se", "replicates"]
-        rows = [(r["method"], p.n, p.lam, p.gamma, p.r0, r["value"],
-                 r["log_value"], r["se"], r["replicates"]) for r in records]
-        _write_csv(args.output, header, rows)
-    else:
-        _write_json(args.output, {
-            "schema_version": SCHEMA_VERSION,
-            "command": "extinction-time",
-            "params": _params_json(p),
-            "results": records,
-        })
+    _write_table(args, {
+        "schema_version": SCHEMA_VERSION,
+        "command": "extinction-time",
+        "params": _params_json(p),
+        "results": [_extinction_record(p, m, args) for m in methods],
+    }, ["method", "n", "lambda", "gamma", "r0", "value", "log_value", "se", "replicates"])
     return 0
 
 
@@ -237,22 +237,18 @@ def _cmd_compare(args) -> int:
     for n in grid:
         p = _params_from_args(args, n)
         q1_qsd = float(quasi_stationary_distribution(p).qsd[0])
-        rows.append(("qsd", n, p.r0, q1_qsd, -math.log(p.gamma * q1_qsd)))
-        rows.append(("clt", n, p.r0, math.exp(q1_normal_approx(p).log),
-                     expected_time_clt(p).log))
-    if args.format == "csv":
-        _write_csv(args.output, ["method", "n", "r0", "q1", "log_ET"], rows)
-    else:
-        _write_json(args.output, {
-            "schema_version": SCHEMA_VERSION,
-            "command": "compare",
-            "gamma": p.gamma,
-            "lambda": p.lam,
-            "rows": [
-                {"method": m, "n": n, "r0": r0, "q1": q1, "log_ET": log_et}
-                for (m, n, r0, q1, log_et) in rows
-            ],
-        })
+        rows.append({"method": "qsd", "n": n, "r0": p.r0, "q1": q1_qsd,
+                     "log_ET": -math.log(p.gamma * q1_qsd)})
+        rows.append({"method": "clt", "n": n, "r0": p.r0,
+                     "q1": math.exp(q1_normal_approx(p).log),
+                     "log_ET": expected_time_clt(p).log})
+    _write_table(args, {
+        "schema_version": SCHEMA_VERSION,
+        "command": "compare",
+        "gamma": p.gamma,
+        "lambda": p.lam,
+        "rows": rows,
+    }, ["method", "n", "r0", "q1", "log_ET"])
     return 0
 
 
@@ -263,28 +259,15 @@ def _trajectory_output(args, tr) -> None:
 
 
 def _csv_pieces(tr):
-    # One string per _CHUNK rows, each row's time followed by the suffix
-    # ",state,flag\n" that entry state + (n+1)*flag of a table holds.  A
-    # chunk's flags come from the state column, one chunk at a time.  The
-    # text formatter is imported here and in _json_pieces, not with this
-    # module, so that the other commands load no more code.
-    from sisq import _shortrepr
-
+    # Each row's time followed by the suffix ",state,flag\n", entry
+    # state + (n+1)*flag of the entries.
     yield "time,state,restart_flag\n"
     width = tr.n + 1
-    table = _shortrepr.byte_table([f",{state},{flag}\n" for flag in (0, 1)
-                                   for state in range(width)])
-    for i in range(0, tr.times.size, _CHUNK):
-        j = i + _CHUNK
-        keys = _restart_flags(tr.states, i, j).astype(np.intp)
-        keys *= width
-        keys += tr.states[i:j]
-        yield _shortrepr.time_text(tr.times[i:j], keys, table)
+    yield from _chunks(tr, (f",{state},{flag}\n" for flag in (0, 1) for state in range(width)),
+                       width, True, True)
 
 
 def _json_pieces(args, tr):
-    from sisq import _shortrepr
-
     head = json.dumps({
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",
@@ -299,29 +282,43 @@ def _json_pieces(args, tr):
     yield head[:-2]
     # json.dumps never uses its C encoder when indent is set, so the
     # columns (never empty: the log starts with the initial row) are
-    # spliced in, _CHUNK items at a time, with the layout indent=2 gives
-    # them.  Every item but a column's last is followed by ",\n    ": key
-    # v (a state, a flag, 0 for a time) picks entry v of its column's
-    # table, and on the last row entry v + len(items), the item alone.  A
-    # chunk's keys are made for that chunk, its flags from the states.
-    size = tr.times.size
-    for key, items, keys_of in (
-            ("time", [""], lambda i, j: np.zeros(j - i, np.intp)),
-            ("state", [str(state) for state in range(tr.n + 1)],
-             lambda i, j: tr.states[i:j].astype(np.intp)),
-            ("restart_flag", ["0", "1"],
-             lambda i, j: _restart_flags(tr.states, i, j).astype(np.intp))):
+    # spliced in with the layout indent=2 gives them.  Every item carries
+    # the separator that follows it, and the column's last chunk drops
+    # the last one.
+    sep = ",\n    "
+    for key, items, flag_key, with_state in (("time", [""], 0, False),
+                                             ("state", range(tr.n + 1), 0, True),
+                                             ("restart_flag", [0, 1], 1, False)):
         yield f',\n  "{key}": [\n    '
-        table = _shortrepr.byte_table([item + ",\n    " for item in items] + items)
-        for i in range(0, size, _CHUNK):
-            j = min(i + _CHUNK, size)
-            keys = keys_of(i, j)
-            if j == size:
-                keys[-1] += len(items)
-            yield (_shortrepr.time_text(tr.times[i:j], keys, table) if key == "time"
-                   else _shortrepr.keyed_text(keys, table))
+        yield from _chunks(tr, (f"{item}{sep}" for item in items), flag_key, with_state,
+                           key == "time", len(sep))
         yield "\n  ]"
     yield "\n}\n"
+
+
+def _chunks(tr, entries, flag_key: int, with_state: bool, timed: bool, cut: int = 0):
+    """Text of the log's rows, _CHUNK rows at a time: each row's time when
+    `timed`, then the entry of the strings `entries` keyed by the row's
+    state when `with_state`, plus flag_key on a restart row.  The last
+    chunk drops its last `cut` characters.
+
+    A chunk's flags come from the state column, one chunk at a time.
+    The text formatter is imported here, not with this module, so that
+    the other commands load no more code.
+    """
+    from sisq import _shortrepr
+
+    table = _shortrepr.byte_table(entries)
+    size = tr.times.size
+    for i in range(0, size, _CHUNK):
+        j = min(i + _CHUNK, size)
+        keys = tr.states[i:j].astype(np.intp) if with_state else np.zeros(j - i, np.intp)
+        if flag_key:
+            keys[_restart_flags(tr.states, i, j)] += flag_key
+        text = (_shortrepr.time_text(tr.times[i:j], keys, table) if timed
+                else _shortrepr.keyed_text(keys, table))
+        yield text[:len(text) - cut] if j == size else text
+        del text  # not held while the next chunk is formatted
 
 
 def _cmd_simulate(args) -> int:
@@ -369,19 +366,18 @@ def _cmd_simulate(args) -> int:
         "survivors": res.survivors,
         "survival_fraction": res.survival_fraction,
     }
+    _write_table(args, {
+        "command": "simulate",
+        "mode": "ensemble",
+        "params": _params_json(p),
+        # Per element: counts[occupied].tolist() maps about 60 KB more of
+        # numpy's code into a process that otherwise never runs it.
+        "state": [int(k + 1) for k in occupied],
+        "count": [int(counts[k]) for k in occupied],
+        **meta,
+    }, ["state", "count", "survivors"])
     if args.format == "csv":
-        rows = [(int(k + 1), int(counts[k]), res.survivors) for k in occupied]
-        _write_csv(args.output, ["state", "count", "survivors"], rows)
         _write_json(str(Path(args.output).with_suffix(".normal.json")), meta)
-    else:
-        _write_json(args.output, {
-            "command": "simulate",
-            "mode": "ensemble",
-            "params": _params_json(p),
-            "state": [int(k + 1) for k in occupied],
-            "count": [int(counts[k]) for k in occupied],
-            **meta,
-        })
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from sisq.chain import ModelParams
+from sisq.chain import ModelParams, _is_integer
 
 __all__ = [
     "LogValue",
@@ -133,19 +133,21 @@ def integrate_variance_ode(
     Args:
         t_max: integration horizon, positive and finite.
         p: model parameters with R0 > 1.
-        steps: number of RK4 steps, >= 10.
+        steps: number of RK4 steps, an integer >= 10 (bool excluded).
 
     Returns:
         (times, sigma2) arrays of length steps + 1.
 
     Raises:
-        ValueError: R0 <= 1, t_max not positive and finite, or steps < 10.
+        ValueError: R0 <= 1, t_max not positive and finite, or steps not
+            an integer >= 10.
     """
     summ = endemic_normal(p)
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-    if steps < 10:
-        raise ValueError(f"steps must be >= 10, got {steps!r}")
+    if not _is_integer(steps) or steps < 10:
+        raise ValueError(f"steps must be an integer >= 10, got {steps!r}")
+    steps = int(steps)
     a = 2.0 * summ.dF_hat
     b = summ.g_hat
 

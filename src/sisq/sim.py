@@ -39,10 +39,12 @@ read.
 `extinction_time_samples`: it keeps nothing but the state and the clock,
 and stops at absorption or once the clock reaches t_stop (infinite for
 extinction times).  It walks the block that t_stop falls in to its end,
-and its clocks find the jump past t_stop.  A chunk of replicates writes
-each result straight into two preallocated columns, the states and the
-times (16 B a replicate), and a pool's chunks are joined column by
-column, so no replicate's result outlives `_jump` as a Python object.
+and its clocks find the jump past t_stop.  It counts the jumps it takes,
+a block at a time, against what its chunk has left of the event budget.  A
+chunk of replicates writes each result straight into two preallocated
+columns, the states and the times (16 B a replicate), and a pool's
+chunks are joined column by column, so no replicate's result outlives
+`_jump` as a Python object.
 
 Determinism contract: replicate r of a run seeded with SeedSpec(root)
 draws all of its randomness from a Philox4x64 generator keyed with
@@ -104,7 +106,8 @@ MAX_LOGGED_EVENTS = 10**7
 _BLOCK = 1024
 
 # Refuse extinction sampling and restarted runs whose expected event
-# count exceeds this, and stop a trajectory whose event count passes it:
+# count exceeds this, and stop a trajectory, or a fan-out of replicates,
+# whose event count passes it:
 # about 25 minutes at the 6.9M (n = 20, from the QSD) and 7.2M (n = 1000,
 # R0 = 5) events/s the sampler ran, medians over 5 processes of the
 # median of 7 runs each, on a 2-core x86-64 host with Python 3.11 and
@@ -436,27 +439,32 @@ def simulate_restarted(p: ModelParams, t_max: float, seed: SeedSpec) -> Trajecto
     return _run(p, 1, t_max, seed.generator(), restarted=True)
 
 
-def _jump(table: tuple, state: int, t_stop: float,
-          gen: np.random.Generator) -> tuple[int, float]:
+def _jump(table: tuple, state: int, t_stop: float, gen: np.random.Generator,
+          room: float) -> tuple[int, float, int]:
     """Lean sampler: run from transient `state` at time 0 until absorption
     or t >= t_stop.
 
-    Returns (0, absorption time) or (state held at t_stop, time of the
-    first event past it).  `table` is _table(p).
+    Returns (0, absorption time, events) or (state held at t_stop, time
+    of the first event past it, events), events being the jumps taken
+    before the stop.  It gives up at the end of the first block that
+    takes it past `room` events and returns where it stands, with that
+    count.  `table` is _table(p).
     """
     thr, up, down, total_arr = table
     t = 0.0
+    events = 0
     while True:
         exps = gen.standard_exponential(_BLOCK)
         walk = _walk(thr, up, down, state, gen.random(_BLOCK), False)
         path = np.fromiter(walk, np.intp, len(walk))
         _, clocks, jumps = _clock(exps, path[:-1], total_arr, t, t_stop)
         if jumps < clocks.size:
-            return int(path[jumps]), float(clocks[jumps])
+            return int(path[jumps]), float(clocks[jumps]), events + jumps
+        events += clocks.size
         state = int(path[-1])
-        if state == 0:
-            return 0, float(clocks[-1])
         t = float(clocks[-1])
+        if state == 0 or events > room:
+            return state, t, events
 
 
 def _start_state(cum: list, u: float) -> int:
@@ -489,22 +497,35 @@ def _streams(seed: SeedSpec, lo: int, hi: int):
         yield gen
 
 
-def _chunk(args: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _chunk(args: tuple) -> tuple[np.ndarray, np.ndarray, int]:
     """_jump results for replicates lo..hi-1, replicate r on stream offset r,
-    as two columns: the states and the times, 16 B a replicate.
+    as two columns, the states and the times (16 B a replicate), and the
+    events the replicates took.
 
     `start` is a fixed initial state, or the cumulative initial
     distribution over 1..n as a list, whose inverse-CDF draw is then the
-    first draw of each replicate's stream.
+    first draw of each replicate's stream.  The chunk is refused once its
+    events pass `budget`, counted at the end of each draw block.
     """
-    p, start, t_stop, seed, lo, hi = args
+    p, start, t_stop, seed, lo, hi, budget = args
     table = _table(p)
     sampled = isinstance(start, list)
     states, times = np.empty(hi - lo, np.intp), np.empty(hi - lo)
+    count = 0
     for k, gen in enumerate(_streams(seed, lo, hi)):
         y0 = _start_state(start, gen.random()) if sampled else start
-        states[k], times[k] = _jump(table, y0, t_stop, gen)
-    return states, times
+        states[k], times[k], events = _jump(table, y0, t_stop, gen, budget - count)
+        count = _check_events(count + events, budget)
+    return states, times, count
+
+
+def _check_events(count: int, budget: float) -> int:
+    """The event count of replicates, refused past `budget`."""
+    if count > budget:
+        raise ValueError(f"the replicates take more than the budget of {budget:g} events "
+                         "to reach their snapshot or absorption; use fewer replicates "
+                         "or an earlier snapshot")
+    return count
 
 
 def _check_count(value: int, what: str) -> int:
@@ -526,18 +547,26 @@ def _fan_out(p: ModelParams, start, t_stop: float, seed: SeedSpec,
     on `futures` only when one starts, so the pool code (multiprocessing,
     concurrent.futures.process) is imported on the first run with more
     than one process, never by a command that runs serially.
+
+    Refused once the replicates' events, counted a draw block at a time,
+    pass _MAX_EXPECTED_EVENTS: each chunk stops at that many, and their
+    sum is checked here, so the outcome does not depend on the process
+    count and the work done is at most processes x budget.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     procs = min(workers, cpus, replicates)
+    # Read here and passed on, so that every worker holds this value.
+    budget = _MAX_EXPECTED_EVENTS
     if procs == 1:
-        return _chunk((p, start, t_stop, seed, 0, replicates))
+        return _chunk((p, start, t_stop, seed, 0, replicates, budget))[:2]
     edges = np.linspace(0, replicates, procs + 1).astype(int).tolist()
-    args = [(p, start, t_stop, seed, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    args = [(p, start, t_stop, seed, lo, hi, budget) for lo, hi in zip(edges, edges[1:])]
     with futures.ProcessPoolExecutor(max_workers=procs) as pool:
-        states, times = zip(*pool.map(_chunk, args))
+        states, times, counts = zip(*pool.map(_chunk, args))
+    _check_events(sum(counts), budget)
     return np.concatenate(states), np.concatenate(times)
 
 
@@ -605,7 +634,10 @@ def conditioned_ensemble(
     Runs `replicates` independent trajectories from the point mass at y0
     (state 1 unless overridden) and collects the states of those still
     alive at t_snap; one sample per replicate, so the collection is
-    independent across entries.  Replicate r uses stream offset r.
+    independent across entries.  Replicate r uses stream offset r.  A run
+    whose replicates take more than _MAX_EXPECTED_EVENTS (1e10) events
+    in all, counted a block of draws at a time, is refused with
+    ValueError, whatever `workers` is.
 
     Args:
         workers: process count for replicate-level parallelism, >= 1 and
@@ -669,7 +701,8 @@ def extinction_time_samples(
     _MAX_EXPECTED_EVENTS (1e10).  That product bounds the expected event
     count from below for any init: every transient state fires events at
     rate at least gamma, and every path to extinction passes state 1, so
-    E_init[T] >= E_1[T].
+    E_init[T] >= E_1[T].  A run accepted up front is still refused once
+    its replicates' events pass that budget, as in conditioned_ensemble.
 
     Args:
         init: distribution over states 1..n (entry k is state k + 1).

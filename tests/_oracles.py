@@ -13,15 +13,18 @@ flux_bisection_reference, the flux solver as it stood
 before its halving phase became a binary search, with its _flux_sweep,
 the sweep as it stood when it read each term back from a numpy array;
 jump_reference and run_reference, the Gillespie loops as they stood when
-each event indexed into a block of draws turned into Python lists; and
+each event indexed into a block of draws turned into Python lists;
 trajectory_output_reference, the trajectory export as it stood when it
-built the whole file as one string.  assert_same_rows compares texts as
+built the whole file as one string; and table_output_reference, the five
+table commands' output as it stood when each built its CSV rows and its
+JSON document apart.  assert_same_rows compares texts as
 long as such an export.
 """
 
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,14 @@ from scipy.linalg import eigh_tridiagonal
 import sisq.cli as cli
 import sisq.sim as sim
 from sisq.chain import ModelParams, rates
-from sisq.spectral import ConvergenceError
+from sisq.clt import endemic_normal, expected_time_clt, q1_normal_approx
+from sisq.sim import SeedSpec, conditioned_ensemble, extinction_time_samples
+from sisq.spectral import (
+    ConvergenceError,
+    expected_time_qsd,
+    quasi_stationary_distribution,
+)
+from sisq.stationary import log_expected_extinction_time, stationary_distribution
 
 
 def bands(p: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -365,6 +375,176 @@ def trajectory_output_reference(args, tr: sim.Trajectory) -> str:
                               ("restart_flag", int.__repr__, flags))
     )
     return head[:-2] + columns + "\n}\n"
+
+
+def table_output_reference(args) -> dict:
+    """Files that a table command (stationary, qsd, extinction-time,
+    compare, simulate --mode ensemble) wrote, by path, as the commands
+    stood when each built its CSV rows and its JSON document apart.
+
+    `args` is the command's parsed flags, with --output a file.  Verbatim
+    apart from collecting each file's text instead of writing it, and
+    from leaving out the checks that refuse flags before any route runs.
+    """
+    files = {}
+
+    def fmt_cell(x) -> str:
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        if isinstance(x, (float, np.floating)):
+            return repr(float(x))
+        if x is None:
+            return ""
+        return str(x)
+
+    def write_csv(path: str, header: list, rows: list) -> None:
+        lines = [",".join(header)]
+        lines.extend(",".join(fmt_cell(c) for c in row) for row in rows)
+        files[path] = "\n".join(lines) + "\n"
+
+    def write_json(path: str, obj: dict) -> None:
+        files[path] = json.dumps(obj, indent=2) + "\n"
+
+    def params_json(p: ModelParams) -> dict:
+        return {"n": p.n, "lambda": p.lam, "gamma": p.gamma, "r0": p.r0}
+
+    def extinction_record(p: ModelParams, method: str) -> dict:
+        rec = {"method": method, "value": None, "log_value": None,
+               "se": None, "replicates": None}
+        if method == "exact":
+            rec["log_value"] = log_expected_extinction_time(p)
+        elif method == "qsd":
+            rec["value"] = expected_time_qsd(p)
+            rec["log_value"] = math.log(rec["value"])
+        elif method == "clt":
+            rec["log_value"] = expected_time_clt(p).log
+        else:
+            init = quasi_stationary_distribution(p).qsd
+            res = extinction_time_samples(
+                p, args.replicates, SeedSpec(args.seed), init, workers=args.workers
+            )
+            rec["value"] = res.mean
+            rec["log_value"] = math.log(res.mean)
+            se = res.standard_error
+            rec["se"] = None if math.isnan(se) else se
+            rec["replicates"] = res.replicates
+        if rec["value"] is None:
+            try:
+                rec["value"] = math.exp(rec["log_value"])
+            except OverflowError:
+                pass
+        return rec
+
+    if args.command == "stationary":
+        p = cli._params_from_args(args)
+        pi = stationary_distribution(p)
+        if args.format == "csv":
+            rows = [(k + 1, pi[k]) for k in range(p.n)]
+            write_csv(args.output, ["state", "pi_hat"], rows)
+        else:
+            write_json(args.output, {
+                "schema_version": cli.SCHEMA_VERSION,
+                "command": "stationary",
+                "params": params_json(p),
+                "state": list(range(1, p.n + 1)),
+                "pi_hat": [float(x) for x in pi],
+            })
+    elif args.command == "qsd":
+        p = cli._params_from_args(args)
+        r = quasi_stationary_distribution(p)
+        et = expected_time_qsd(p)
+        log_et = math.log(et)
+        if args.format == "csv":
+            header = ["state", "q_tilde", "lambda1", "expected_time_qsd",
+                      "log_expected_time_qsd"]
+            rows = [(k + 1, r.qsd[k], r.lambda1, et, log_et) for k in range(p.n)]
+            write_csv(args.output, header, rows)
+        else:
+            write_json(args.output, {
+                "schema_version": cli.SCHEMA_VERSION,
+                "command": "qsd",
+                "params": params_json(p),
+                "state": list(range(1, p.n + 1)),
+                "q_tilde": [float(x) for x in r.qsd],
+                "lambda1": r.lambda1,
+                "expected_time_qsd": et,
+                "log_expected_time_qsd": log_et,
+            })
+    elif args.command == "extinction-time":
+        p = cli._params_from_args(args)
+        methods = [m.strip() for m in args.method.split(",") if m.strip()]
+        records = [extinction_record(p, m) for m in methods]
+        if args.format == "csv":
+            header = ["method", "n", "lambda", "gamma", "r0", "value",
+                      "log_value", "se", "replicates"]
+            rows = [(r["method"], p.n, p.lam, p.gamma, p.r0, r["value"],
+                     r["log_value"], r["se"], r["replicates"]) for r in records]
+            write_csv(args.output, header, rows)
+        else:
+            write_json(args.output, {
+                "schema_version": cli.SCHEMA_VERSION,
+                "command": "extinction-time",
+                "params": params_json(p),
+                "results": records,
+            })
+    elif args.command == "compare":
+        grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
+        rows = []
+        for n in grid:
+            p = cli._params_from_args(args, n)
+            q1_qsd = float(quasi_stationary_distribution(p).qsd[0])
+            rows.append(("qsd", n, p.r0, q1_qsd, -math.log(p.gamma * q1_qsd)))
+            rows.append(("clt", n, p.r0, math.exp(q1_normal_approx(p).log),
+                         expected_time_clt(p).log))
+        if args.format == "csv":
+            write_csv(args.output, ["method", "n", "r0", "q1", "log_ET"], rows)
+        else:
+            write_json(args.output, {
+                "schema_version": cli.SCHEMA_VERSION,
+                "command": "compare",
+                "gamma": p.gamma,
+                "lambda": p.lam,
+                "rows": [
+                    {"method": m, "n": n, "r0": r0, "q1": q1, "log_ET": log_et}
+                    for (m, n, r0, q1, log_et) in rows
+                ],
+            })
+    else:  # simulate --mode ensemble
+        p = cli._params_from_args(args)
+        res = conditioned_ensemble(
+            p, args.replicates, args.t_max, SeedSpec(args.seed), y0=args.y0,
+            workers=args.workers
+        )
+        counts = res.histogram()
+        occupied = np.nonzero(counts)[0]
+        supercrit = p.r0 > 1
+        summ = endemic_normal(p) if supercrit else None
+        normal = {
+            "mu_n": summ.mu_n if supercrit else None,
+            "sigma2_n": summ.sigma2_n if supercrit else None,
+        }
+        meta = {
+            "schema_version": cli.SCHEMA_VERSION,
+            **normal,
+            "t_snap": res.t_snap,
+            "replicates": res.replicates,
+            "survivors": res.survivors,
+            "survival_fraction": res.survival_fraction,
+        }
+        if args.format == "csv":
+            rows = [(int(k + 1), int(counts[k]), res.survivors) for k in occupied]
+            write_csv(args.output, ["state", "count", "survivors"], rows)
+            write_json(str(Path(args.output).with_suffix(".normal.json")), meta)
+        else:
+            write_json(args.output, {
+                "command": "simulate",
+                "mode": "ensemble",
+                "params": params_json(p),
+                "state": [int(k + 1) for k in occupied],
+                "count": [int(counts[k]) for k in occupied],
+                **meta,
+            })
+    return files
 
 
 def assert_same_rows(got: str, want: str) -> None:

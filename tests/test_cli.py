@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from _oracles import assert_same_rows, trajectory_output_reference
+from _oracles import assert_same_rows, table_output_reference, trajectory_output_reference
 
 import sisq
 import sisq.chain
@@ -771,6 +771,57 @@ def test_plain_run_at_the_event_budget_is_accepted(capsys, monkeypatch):
     assert err.startswith(f"error: the run passed {_PLAIN_RUN_EVENTS} events by t=10.0,")
 
 
+def _ensemble_budget_error(budget) -> str:
+    return (f"error: the replicates take more than the budget of {budget} events to reach "
+            "their snapshot or absorption; use fewer replicates or an earlier snapshot\n")
+
+
+def test_ensemble_run_past_the_event_budget_is_refused(capsys, monkeypatch, tmp_path):
+    # One replicate that at n = 1000, R0 = 5 fires about 1,600 events per
+    # unit time and is all but sure to survive to t = 1e9: without a
+    # budget it runs for days.
+    monkeypatch.setattr(sisq.sim, "_MAX_EXPECTED_EVENTS", 10_000)
+    with _deadline(60):
+        code, out, err = run_cli(capsys, "simulate", "--mode", "ensemble", "--n", "1000",
+                                 "--r0", "5", "--t-max", "1e9", "--replicates", "1",
+                                 "--seed", "1", "--output", str(tmp_path / "F.csv"))
+    assert (code, out, err) == (1, "", _ensemble_budget_error(10_000))
+    assert os.listdir(tmp_path) == []
+
+
+_ENSEMBLE_RUN = ("simulate", "--mode", "ensemble", "--n", "100", "--r0", "2",
+                 "--t-max", "5", "--replicates", "40", "--seed", "3")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_ensemble_run_at_the_event_budget_is_accepted(workers, capsys, monkeypatch, tmp_path):
+    # The run's events, counted by the recorder: replicate r is a plain
+    # trajectory from state 1 on stream r, to the snapshot or absorption.
+    p = ModelParams(100, 2.0)
+    events = [sisq.sim._run(p, 1, 5.0, sisq.sim.SeedSpec(3).generator(r), False).n_events
+              for r in range(40)]
+    total = sum(events)
+    # Each of the two workers' chunks (replicates 0-19 and 20-39) stays
+    # below total - 1, so at 2 workers only their sum is refused there.
+    assert max(sum(events[:20]), sum(events[20:])) < total - 1
+    argv = (*_ENSEMBLE_RUN, "--workers", workers, "--output", str(tmp_path / "h.csv"))
+
+    def run(budget):
+        monkeypatch.setattr(sisq.sim, "_MAX_EXPECTED_EVENTS", budget)
+        for f in tmp_path.iterdir():
+            f.unlink()
+        code, out, err = run_cli(capsys, *argv)
+        assert out == ""
+        return code, err, {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+    code, err, want = run(sisq.sim._MAX_EXPECTED_EVENTS)
+    assert (code, err, sorted(want)) == (0, "", ["h.csv", "h.normal.json"])
+    assert run(total) == (0, "", want)
+    # At a budget of 1 every chunk passes it on its own.
+    for budget in (total - 1, 1):
+        assert run(budget) == (1, _ensemble_budget_error(budget), {})
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail the test, rather than hang, if the block runs past `seconds`."""
@@ -902,6 +953,53 @@ def test_ensemble_json_single_document(capsys):
     assert doc["schema_version"] == 1
     assert sum(doc["count"]) == doc["survivors"]
     assert doc["mu_n"] == pytest.approx(50 * (1 - 1 / 3), rel=1e-12)
+
+
+# One case per shape of table output: a single row and many, missing cells
+# (an overflowed value, a single replicate's se, an absent normal law),
+# records with scalars repeated on every row, and the ensemble's sidecar.
+_TABLE_CASES = {
+    "stationary_n1": ("stationary", "--n", "1", "--r0", "2"),
+    "stationary_n100": ("stationary", "--n", "100", "--r0", "2"),
+    "qsd_n1": ("qsd", "--n", "1", "--r0", "2"),
+    "qsd_n100": ("qsd", "--n", "100", "--r0", "2"),
+    "extinction_analytic": ("extinction-time", "--n", "100", "--r0", "2",
+                            "--method", "exact,qsd,clt"),
+    "extinction_overflow": ("extinction-time", "--n", "2000", "--r0", "5",
+                            "--method", "exact,clt"),
+    "extinction_one_replicate": ("extinction-time", "--n", "20", "--lambda", "2",
+                                 "--method", "simulate", "--seed", "7",
+                                 "--replicates", "1"),
+    "compare": ("compare", "--n-grid", "50,100,200,400", "--r0", "2"),
+    "ensemble_supercritical": ("simulate", "--mode", "ensemble", "--n", "100", "--r0", "5",
+                               "--t-max", "4", "--replicates", "300", "--seed", "13"),
+    "ensemble_subcritical": ("simulate", "--mode", "ensemble", "--n", "30", "--lambda",
+                             "0.5", "--t-max", "1", "--replicates", "200", "--seed", "3"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_table_outputs_match_reference(case, fmt, tmp_path, capsys):
+    argv = [*_TABLE_CASES[case], "--format", fmt, "--output", str(tmp_path / f"out.{fmt}")]
+    assert run_cli(capsys, *argv) == (0, "", "")
+    written = {str(f): f.read_text() for f in tmp_path.iterdir()}
+    assert written == table_output_reference(sisq.cli._build_parser().parse_args(argv))
+    # The cases hold the missing cells they are there for.
+    missing = {"extinction_overflow": ("value", 1), "extinction_one_replicate": ("se", 0),
+               "ensemble_subcritical": ("mu_n", None)}
+    if case in missing:
+        name, row = missing[case]
+        text = written[argv[-1]]
+        if fmt == "json":
+            doc = json.loads(text)
+            assert (doc if row is None else doc["results"][row])[name] is None
+        elif row is not None:
+            header, rows = parse_csv(text)
+            assert rows[row][header.index(name)] == ""
+        else:
+            sidecar = json.loads(written[str(tmp_path / "out.normal.json")])
+            assert sidecar[name] is None
 
 
 def test_readme_commands_parse():

@@ -118,6 +118,20 @@ def test_ode_validation():
         integrate_variance_ode(1.0, p, 9)
 
 
+@pytest.mark.parametrize("steps", [20.0, 10.5, "20", True])
+def test_ode_refuses_non_integer_steps(steps):
+    # 20.0 reached range() and "20" the < test, each as a TypeError
+    with pytest.raises(ValueError, match="steps must be an integer >= 10"):
+        integrate_variance_ode(5.0, ModelParams(10, 2.0, 1.0), steps)
+
+
+def test_ode_accepts_numpy_integer_steps():
+    p = ModelParams(10, 2.0, 1.0)
+    ts, out = integrate_variance_ode(5.0, p, np.int64(20))
+    want_ts, want = integrate_variance_ode(5.0, p, 20)
+    assert np.array_equal(ts, want_ts) and np.array_equal(out, want)
+
+
 @pytest.mark.parametrize("t_max", [math.inf, math.nan, -math.inf])
 def test_ode_refuses_non_finite_horizon(t_max):
     # t_max = inf used to make the step h = inf and return NaN

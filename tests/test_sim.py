@@ -649,6 +649,25 @@ def test_workers_are_validated_and_capped(monkeypatch):
     assert sizes == [4, 3, 4, 2, 8]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extinction_sampling_counts_its_events_against_the_budget(monkeypatch, workers):
+    # 50 replicates from the QSD take 60,564 events; the up-front bound,
+    # replicates * gamma * E_1[T], is about 1,561, so a budget between the
+    # two passes the up-front check and is met by the count.
+    p = ModelParams(20, 2.0)
+    init = quasi_stationary_distribution(p).qsd
+    cum = np.cumsum(init).tolist()
+    total = sim_module._chunk((p, cum, math.inf, SeedSpec(7), 0, 50, math.inf))[2]
+    assert total == 60_564
+    want = extinction_time_samples(p, 50, SeedSpec(7), init, workers=workers)
+    monkeypatch.setattr(sim_module, "_MAX_EXPECTED_EVENTS", total)
+    got = extinction_time_samples(p, 50, SeedSpec(7), init, workers=workers)
+    assert got.times.tobytes() == want.times.tobytes()
+    monkeypatch.setattr(sim_module, "_MAX_EXPECTED_EVENTS", total - 1)
+    with pytest.raises(ValueError, match=f"more than the budget of {total - 1} events"):
+        extinction_time_samples(p, 50, SeedSpec(7), init, workers=workers)
+
+
 def test_standard_error_degenerate():
     s = extinction_time_samples(ModelParams(1, 1.0), 1, SeedSpec(2), [1.0])
     assert math.isnan(s.standard_error)
@@ -677,7 +696,7 @@ def _assert_kernels_match_reference(p: ModelParams, seed: int, mode: str,
     gen, ref_gen = SeedSpec(seed).generator(), SeedSpec(seed).generator()
     if mode == "jump":
         births, totals = sim_module._rates(p)
-        got = sim_module._jump(sim_module._table(p), start, t_stop, gen)
+        got = sim_module._jump(sim_module._table(p), start, t_stop, gen, math.inf)[:2]
         want = jump_reference(births, totals, start, t_stop, ref_gen)
         assert (type(got[1]), got) == (type(want[1]), want)
     else:
@@ -759,9 +778,9 @@ def test_sampler_agrees_with_the_recorder(monkeypatch, block):
         if mode != "plain":
             continue
         gen, gen2 = SeedSpec(seed).generator(), SeedSpec(seed).generator()
-        state, t = sim_module._jump(sim_module._table(p), y0, t_max, gen)
+        state, t, events = sim_module._jump(sim_module._table(p), y0, t_max, gen, math.inf)
         tr = sim_module._run(p, y0, t_max, gen2, False)
-        assert type(t) is float
+        assert type(t) is float and events == tr.n_events
         if tr.final_state == 0:
             assert (state, t) == (0, tr.t_end)
         else:
