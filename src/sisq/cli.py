@@ -214,34 +214,38 @@ def _cmd_extinction_time(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise ValueError("no method given")
-    # The whole list is checked before any route runs.
+    # The whole list is checked before any route runs, and simulate runs last.
     for method in methods:
         if method not in ("exact", "qsd", "clt", "simulate"):
             raise ValueError(f"unknown method {method!r}")
         if method == "simulate" and args.seed is None:
             raise ValueError("--method simulate requires --seed")
+    records = {m: _extinction_record(p, m, args)
+               for m in sorted(set(methods), key=lambda m: m == "simulate")}
     _write_table(args, {
         "schema_version": SCHEMA_VERSION,
         "command": "extinction-time",
         "params": _params_json(p),
-        "results": [_extinction_record(p, m, args) for m in methods],
+        "results": [records[m] for m in methods],
     }, ["method", "n", "lambda", "gamma", "r0", "value", "log_value", "se", "replicates"])
     return 0
 
 
 def _cmd_compare(args) -> int:
-    grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
+    try:
+        grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"--n-grid takes comma-separated integers: {args.n_grid!r}") from None
     if not grid:
         raise ValueError("empty n-grid")
-    rows = []
-    for n in grid:
-        p = _params_from_args(args, n)
+    # All models and clt rows before any flux solve; each qsd row goes in before its clt row.
+    points = [_params_from_args(args, n) for n in grid]
+    rows = [{"method": "clt", "n": p.n, "r0": p.r0, "q1": math.exp(q1_normal_approx(p).log),
+             "log_ET": expected_time_clt(p).log} for p in points]
+    for i, p in enumerate(points):
         q1_qsd = float(quasi_stationary_distribution(p).qsd[0])
-        rows.append({"method": "qsd", "n": n, "r0": p.r0, "q1": q1_qsd,
-                     "log_ET": -math.log(p.gamma * q1_qsd)})
-        rows.append({"method": "clt", "n": n, "r0": p.r0,
-                     "q1": math.exp(q1_normal_approx(p).log),
-                     "log_ET": expected_time_clt(p).log})
+        rows.insert(2 * i, {"method": "qsd", "n": p.n, "r0": p.r0, "q1": q1_qsd,
+                            "log_ET": -math.log(p.gamma * q1_qsd)})
     _write_table(args, {
         "schema_version": SCHEMA_VERSION,
         "command": "compare",

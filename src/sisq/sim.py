@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sisq.chain import ModelParams, _is_integer, check_state, rates
-from sisq.stationary import check_probability_vector, log_stationary_weights
+from sisq.stationary import _log_mean_times, check_probability_vector
 
 __all__ = [
     "MAX_LOGGED_EVENTS",
@@ -713,11 +713,7 @@ def extinction_time_samples(
     replicates = _check_count(replicates, "replicates")
     workers = _check_count(workers, "workers")
     init_cum = np.cumsum(check_probability_vector(init, p.n)).tolist()
-    # log(replicates * gamma * E_1[T]), gamma * E_1[T] being the sum of
-    # the weights as in log_expected_extinction_time.  Summed with numpy's
-    # logaddexp: scipy's logsumexp would map in ~0.45 MB of code (scipy
-    # 1.17, x86-64 Linux) in a process that otherwise never calls it.
-    log_events = math.log(replicates) + float(np.logaddexp.reduce(log_stationary_weights(p)))
+    log_events = math.log(replicates) + float(_log_mean_times(p)[0])
     if log_events > math.log(_MAX_EXPECTED_EVENTS):
         raise ValueError(
             f"extinction sampling needs at least ~1e{log_events / math.log(10.0):.0f} "

@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from sisq.chain import ModelParams, check_state, rates
-from sisq.stationary import log_stationary_weights, stationary_distribution
+from sisq.stationary import _log_mean_times, log_stationary_weights, stationary_distribution
 
 __all__ = [
     "ConvergenceError",
@@ -91,25 +91,6 @@ class SpectralResult:
         qsd = np.asarray(self.qsd, dtype=float)
         qsd.flags.writeable = False
         object.__setattr__(self, "qsd", qsd)
-
-
-def _log_flux_sum_at_zero(p: ModelParams) -> float:
-    """Log of the flux sum S at trial rate theta = 0, an upper bound in theta.
-
-    The theta = 0 sweep dominates every other trial value entry-wise, so
-    it certifies that the double-precision bisection below cannot
-    overflow mid-sweep.  With w the detailed-balance weights (w_1 = 1),
-    S(0) = sum_j w_j * sum_{k<=j} 1 / (k * w_k), which is gamma times the
-    mean absorption time from state n (Karlin & McGregor 1957); its terms
-    come from the log-weights alone, as a running logaddexp and one
-    log-sum-exp.
-    """
-    lw = log_stationary_weights(p)
-    terms = -np.log(np.arange(1.0, p.n + 1)) - lw
-    # numpy's reduce rather than scipy's logsumexp: every QSD solve runs
-    # this, and the first logsumexp call in a process maps in ~0.45 MB of
-    # code (scipy 1.17, x86-64 Linux).
-    return float(np.logaddexp.reduce(lw + np.logaddexp.accumulate(terms)))
 
 
 def _flux_sweep(
@@ -175,6 +156,8 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
     ensures, gamma being scaled into [1, 2) as below).  So the bracket,
     and hence lambda1 and the QSD, are bit-identical to the walk's, while
     its log2(gamma / theta*) sweeps shrink to about log2 of that.
+    S(0) = gamma * E_n[T] is the last entry of stationary._log_mean_times;
+    the theta = 0 terms bound every other sweep's, so none overflows.
 
     Both phases run on the rates scaled by 2^-m, with m the binary
     exponent of gamma, so the scaled gamma lies in [1, 2).  theta is
@@ -198,7 +181,7 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
     p = ModelParams(p.n, math.ldexp(p.lam, -m), math.ldexp(p.gamma, -m))
     n = p.n
     gamma = p.gamma
-    log_s0 = _log_flux_sum_at_zero(p)
+    log_s0 = float(_log_mean_times(p)[-1])
     if log_s0 > _MAX_LOG_FLUX_SUM:
         raise OverflowError(
             "dominant eigenvalue magnitude ~ gamma*exp(-%.4g) underflows double "

@@ -84,6 +84,22 @@ def stationary_distribution(p: ModelParams) -> np.ndarray:
     return pi / pi.sum()
 
 
+def _log_mean_times(p: ModelParams) -> np.ndarray:
+    """log(gamma * E_i[T]) for each start state i (entry k is state k + 1).
+
+    gamma * E_i[T] = sum_{j<=i} w_j P_j + P_i sum_{j>i} w_j, with w the
+    weights and P_i = sum_{k<=i} 1 / (k w_k) (Karlin & McGregor 1957), in
+    one O(n) pass of numpy's logaddexp: scipy's logsumexp, which
+    log_expected_extinction_time keeps for its last bit, maps in ~0.45 MB
+    of code on its first call in a process (scipy 1.17, x86-64 Linux).
+    """
+    lw = log_stationary_weights(p)
+    log_p = np.logaddexp.accumulate(-np.log(np.arange(1.0, p.n + 1)) - lw)
+    out = np.logaddexp.accumulate(lw + log_p)
+    out[:-1] = np.logaddexp(out[:-1], log_p[:-1] + np.logaddexp.accumulate(lw[:0:-1])[::-1])
+    return out
+
+
 def log_expected_extinction_time(p: ModelParams) -> float:
     """Log of the exact mean extinction time from state 1.
 

@@ -271,6 +271,34 @@ def test_extinction_time_refuses_method_list_before_any_route(
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("n, r0, message", [
+    ("20", "0.8", "the diffusion-limit route requires R0 > 1"),
+    ("1", "2", "n = 1 leaves no room for a normal approximation"),
+])
+def test_extinction_time_refuses_a_later_method_before_sampling(
+        capsys, monkeypatch, n, r0, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("replicates were drawn before clt was checked")
+
+    monkeypatch.setattr(sisq.cli, "extinction_time_samples", refuse)
+    code, out, err = run_cli(capsys, "extinction-time", "--n", n, "--r0", r0,
+                             "--method", "simulate,clt", "--seed", "1",
+                             "--replicates", "200000")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_extinction_time_with_simulate_first_keeps_its_bytes(fmt, tmp_path, capsys):
+    # simulate runs after the other routes, but its row stays where it was listed
+    argv = ["extinction-time", "--n", "20", "--lambda", "2", "--method", "simulate,exact",
+            "--seed", "7", "--replicates", "50", "--format", fmt,
+            "--output", str(tmp_path / f"out.{fmt}")]
+    assert run_cli(capsys, *argv) == (0, "", "")
+    written = {str(f): f.read_text() for f in tmp_path.iterdir()}
+    assert written == table_output_reference(sisq.cli._build_parser().parse_args(argv))
+
+
 @pytest.mark.parametrize("args", [
     ("qsd", "--n", "10", "--r0", "2", "--gamma", "5e-324"),
     ("qsd", "--n", "10", "--r0", "2", "--gamma", "1e-310"),
@@ -407,6 +435,33 @@ def test_compare_rejects_subcritical(capsys):
     code, _, err = run_cli(capsys, "compare", "--n-grid", "10,20", "--r0", "1")
     assert code == 1
     assert "R0" in err
+
+
+def _refuse_flux_solves(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flux solve ran before every point was checked")
+
+    monkeypatch.setattr(sisq.cli, "quasi_stationary_distribution", refuse)
+
+
+def test_compare_names_the_grid_flag_in_a_parse_error(capsys, monkeypatch):
+    _refuse_flux_solves(monkeypatch)
+    code, out, err = run_cli(capsys, "compare", "--n-grid", "50,abc", "--r0", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: --n-grid takes comma-separated integers: '50,abc'\n"
+
+
+@pytest.mark.parametrize("grid, r0, message", [
+    ("3000,1", "1.2", "n = 1 leaves no room"),
+    ("3000,0", "1.2", "population size must be >= 1"),
+    ("3000,20", "0.9", "requires R0 > 1"),
+])
+def test_compare_refuses_every_point_before_any_flux_solve(
+        capsys, monkeypatch, grid, r0, message):
+    _refuse_flux_solves(monkeypatch)
+    code, out, err = run_cli(capsys, "compare", "--n-grid", grid, "--r0", r0)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
 
 
 @pytest.mark.xfail(

@@ -20,6 +20,7 @@ from _oracles import (
     uniformization,
 )
 from sisq.chain import ModelParams
+from sisq.stationary import _log_mean_times
 from sisq.spectral import (
     ConvergenceError,
     conditioned_distribution,
@@ -460,7 +461,7 @@ def test_flux_sweep_matches_frozen_numpy_loop(n, r0, gamma):
     m = math.frexp(gamma)[1] - 1
     p = ModelParams(n, math.ldexp(r0 * gamma, -m), math.ldexp(gamma, -m))
     lower, _, upper = (band.tolist() for band in bands(p))
-    k_hi = math.ceil(sisq.spectral._log_flux_sum_at_zero(p) / math.log(2.0)) + 1
+    k_hi = math.ceil(_log_mean_times(p)[-1] / math.log(2.0)) + 1
     star = -quasi_stationary_distribution(p).lambda1
     thetas = [math.ldexp(p.gamma, -k_hi) * 2.0 ** (k_hi * i / 14) for i in range(15)]
     thetas += [star * (1.0 + e) for e in (-1e-12, -1e-13, 0.0, 1e-13, 1e-12)]
@@ -506,7 +507,7 @@ def test_flux_solver_names_failed_lower_bound(monkeypatch):
     # a flux sum S(0) of 1 would put the search's low end at gamma / 2,
     # far above the true rate at (1000, 2): refuse, never bracket wrongly
     calls = _count_flux_sweeps(monkeypatch)
-    monkeypatch.setattr(sisq.spectral, "_log_flux_sum_at_zero", lambda *args: 0.0)
+    monkeypatch.setattr(sisq.spectral, "_log_mean_times", lambda *args: np.zeros(1))
     with pytest.raises(ConvergenceError, match="lower bound") as info:
         sisq.spectral._solve_dominant_flux(ModelParams(1000, 2.0, 1.0))
     assert info.value.iterations == len(calls) == 1
@@ -518,7 +519,7 @@ def test_flux_sum_at_zero_closed_form(n, r0, gamma):
     # including the exponent bound k_hi the binary search starts from
     p = ModelParams(n, r0 * gamma, gamma)
     lower, _, upper = bands(p)
-    got = sisq.spectral._log_flux_sum_at_zero(p)
+    got = float(_log_mean_times(p)[-1])
     want = _log_flux_sum_at_zero(upper, lower, gamma)
     assert abs(got - want) <= 1e-12 * abs(want)
     assert math.ceil(got / math.log(2.0)) == math.ceil(want / math.log(2.0))
@@ -533,8 +534,17 @@ def test_flux_sum_at_zero_is_gamma_times_mean_time_from_n(n, r0, gamma):
     # solve of -Q tau = 1
     p = ModelParams(n, r0 * gamma, gamma)
     tau = np.linalg.solve(-dense_transient(p), np.ones(n))
-    got = math.exp(sisq.spectral._log_flux_sum_at_zero(p))
+    got = math.exp(_log_mean_times(p)[-1])
     assert got == pytest.approx(gamma * tau[-1], rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("n, r0", [(41246, 1.2), (3350, 2.0), (800, 5.0)])
+def test_flux_route_refusal_edge_in_n(n, r0):
+    # the largest n the flux route accepts at each R0: one host more and
+    # S(0) passes the bound that keeps |lambda1| a normal double
+    assert quasi_stationary_distribution(ModelParams(n, r0, 1.0)).lambda1 < 0.0
+    with pytest.raises(OverflowError, match="underflows double precision"):
+        quasi_stationary_distribution(ModelParams(n + 1, r0, 1.0))
 
 
 @pytest.mark.parametrize("n, r0", [(450, 5.0), (500, 5.0), (800, 5.0), (900, 3.0)])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from _oracles import ratio_log_weights
+from _oracles import dense_transient, ratio_log_weights
 from sisq.chain import ModelParams, rates
 from sisq.stationary import (
+    _log_mean_times,
     check_probability_vector,
     exact_expected_extinction_time,
     log_expected_extinction_time,
@@ -101,6 +102,23 @@ def test_overflow_reported_distinctly_with_log_fallback():
     assert math.isfinite(log_et) and log_et > 709.0
     with pytest.raises(OverflowError):
         exact_expected_extinction_time(p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 30])
+@pytest.mark.parametrize("r0", [0.3, 0.7, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("gamma", [1.0, 0.37])
+def test_mean_times_match_dense_solve_at_every_start(n, r0, gamma):
+    # gamma * E_i[T] against a dense solve of -Q tau = 1, every start i.
+    # The solve errs by up to 3e-13 here (the kernel by 1e-14, against
+    # exact rationals) and is no reference further out: it returns
+    # negative times at (50, 5).
+    p = ModelParams(n, r0 * gamma, gamma)
+    tau = np.linalg.solve(-dense_transient(p), np.ones(n))
+    got = _log_mean_times(p)
+    assert got.shape == (n,)
+    np.testing.assert_allclose(np.exp(got), gamma * tau, rtol=1e-12, atol=0.0)
+    want = log_expected_extinction_time(p) + math.log(gamma)
+    assert got[0] == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 def test_check_probability_vector_accepts_valid():
