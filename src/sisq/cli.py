@@ -33,24 +33,25 @@ from sisq.chain import ModelParams
 from sisq.clt import endemic_normal, expected_time_clt, q1_normal_approx
 from sisq.sim import (
     SeedSpec,
+    _check_sampling_budget,
     _restart_flags,
     conditioned_ensemble,
     extinction_time_samples,
     simulate,
     simulate_restarted,
 )
-from sisq.spectral import expected_time_qsd, quasi_stationary_distribution
+from sisq.spectral import _scaled_flux_sum, expected_time_qsd, quasi_stationary_distribution
 from sisq.stationary import log_expected_extinction_time, stationary_distribution
 
 SCHEMA_VERSION = 1
 
 # Rows a trajectory export formats and writes at a time, so that it holds
 # one chunk of text, never the whole event log.  A chunk's formatter peak
-# is about 65 B a row (tracemalloc), 0.53 MB at 8,192 rows and 1.07 MB at
+# is about 69 B a row (tracemalloc), 0.57 MB at 8,192 rows and 1.13 MB at
 # 16,384.  Serial exports of a 487,620-row restarted n = 100 log took
-# 159 ms (CSV) and 165 ms (JSON) at 8,192 rows, against 167/171 ms at
-# 16,384 and 182/197 at 4,096 (medians of 25 alternating runs, 2-core
-# x86-64 host).
+# 93 ms (CSV) and 109 ms (JSON) at 8,192 rows, against 90/103 ms at
+# 16,384, inside the host's noise for twice the memory, and 104/136 at
+# 4,096 (medians of 30 runs, 2-core x86-64 host).
 _CHUNK = 1 << 13
 
 __all__ = ["main"]
@@ -220,6 +221,9 @@ def _cmd_extinction_time(args) -> int:
             raise ValueError(f"unknown method {method!r}")
         if method == "simulate" and args.seed is None:
             raise ValueError("--method simulate requires --seed")
+    if "simulate" in methods:
+        # On its event budget, not on the QSD its start states come from.
+        _check_sampling_budget(p, args.replicates)
     records = {m: _extinction_record(p, m, args)
                for m in sorted(set(methods), key=lambda m: m == "simulate")}
     _write_table(args, {
@@ -238,10 +242,13 @@ def _cmd_compare(args) -> int:
         raise ValueError(f"--n-grid takes comma-separated integers: {args.n_grid!r}") from None
     if not grid:
         raise ValueError("empty n-grid")
-    # All models and clt rows before any flux solve; each qsd row goes in before its clt row.
+    # All models, clt rows and flux-range checks before any flux solve;
+    # each qsd row goes in before its clt row.
     points = [_params_from_args(args, n) for n in grid]
     rows = [{"method": "clt", "n": p.n, "r0": p.r0, "q1": math.exp(q1_normal_approx(p).log),
              "log_ET": expected_time_clt(p).log} for p in points]
+    for p in points:
+        _scaled_flux_sum(p)
     for i, p in enumerate(points):
         q1_qsd = float(quasi_stationary_distribution(p).qsd[0])
         rows.insert(2 * i, {"method": "qsd", "n": p.n, "r0": p.r0, "q1": q1_qsd,

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from sisq.chain import ModelParams, _is_integer
 
@@ -186,6 +185,8 @@ def q1_normal_approx(p: ModelParams) -> LogValue:
         ValueError: n = 1, where a normal law over a single state is
             meaningless, or R0 <= 1.
     """
+    from scipy.special import ndtr  # here, so that simulate never loads it
+
     if p.n == 1:
         raise ValueError("n = 1 leaves no room for a normal approximation")
     summ = endemic_normal(p)

@@ -375,9 +375,12 @@ def _run(p: ModelParams, y0: int, t_max: float, gen: np.random.Generator,
         truncated = truncated or kept < end
         if kept:
             room -= kept
-            # A restart row shares the clock of the absorption row before it.
-            # frombytes reads a column's buffer, in byte-sized items only.
-            times.frombytes(clocks[np.cumsum(prev[:kept] != 0) - 1].view(np.uint8))
+            # A restart row shares the clock of the absorption row before it;
+            # in a block without one, row i is jump i.  frombytes reads a
+            # column's buffer, in byte-sized items only.
+            if before.size < rows.size:
+                clocks = clocks[np.cumsum(prev[:kept] != 0) - 1]
+            times.frombytes(clocks[:kept].view(np.uint8))
             states.frombytes(rows[:kept].view(np.uint8))
     # Views of the columns, not copies.
     return Trajectory(
@@ -713,6 +716,14 @@ def extinction_time_samples(
     replicates = _check_count(replicates, "replicates")
     workers = _check_count(workers, "workers")
     init_cum = np.cumsum(check_probability_vector(init, p.n)).tolist()
+    _check_sampling_budget(p, replicates)
+    _, times = _fan_out(p, init_cum, math.inf, seed, replicates, workers)
+    return ExtinctionSamples(times=times)
+
+
+def _check_sampling_budget(p: ModelParams, replicates: int) -> None:
+    """Refuse extinction sampling whose replicates * gamma * E_1[T], a
+    lower bound on its expected event count, passes _MAX_EXPECTED_EVENTS."""
     log_events = math.log(replicates) + float(_log_mean_times(p)[0])
     if log_events > math.log(_MAX_EXPECTED_EVENTS):
         raise ValueError(
@@ -720,5 +731,3 @@ def extinction_time_samples(
             "expected events (replicates * gamma * E_1[T]), beyond the budget of "
             f"1e{math.log10(_MAX_EXPECTED_EVENTS):.0f} events; use the exact or qsd method"
         )
-    _, times = _fan_out(p, init_cum, math.inf, seed, replicates, workers)
-    return ExtinctionSamples(times=times)

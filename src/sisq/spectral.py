@@ -132,6 +132,26 @@ def _flux_sweep(
     return gamma - theta * s > 0.0, s
 
 
+def _scaled_flux_sum(p: ModelParams) -> tuple[int, ModelParams, float]:
+    """(m, p', log S(0)): the binary exponent m of gamma, the model with
+    both rates scaled by 2^-m, and the log of its flux sum at theta = 0.
+
+    Raises:
+        OverflowError: S(0) passes _MAX_LOG_FLUX_SUM, so |lambda1| ~
+            gamma / S(0) underflows double precision.
+    """
+    m = math.frexp(p.gamma)[1] - 1
+    p = ModelParams(p.n, math.ldexp(p.lam, -m), math.ldexp(p.gamma, -m))
+    log_s0 = float(_log_mean_times(p)[-1])
+    if log_s0 > _MAX_LOG_FLUX_SUM:
+        raise OverflowError(
+            "dominant eigenvalue magnitude ~ gamma*exp(-%.4g) underflows double "
+            "precision at these parameters; the spectral route cannot represent it"
+            % log_s0
+        )
+    return m, p, log_s0
+
+
 def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
     """Dominant decay rate theta = -lambda1 and QSD by flux bisection.
 
@@ -156,8 +176,10 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
     ensures, gamma being scaled into [1, 2) as below).  So the bracket,
     and hence lambda1 and the QSD, are bit-identical to the walk's, while
     its log2(gamma / theta*) sweeps shrink to about log2 of that.
-    S(0) = gamma * E_n[T] is the last entry of stationary._log_mean_times;
-    the theta = 0 terms bound every other sweep's, so none overflows.
+    S(0) = gamma * E_n[T] is the last entry of stationary._log_mean_times,
+    read and refused by _scaled_flux_sum, which compare also calls before
+    its first solve; the theta = 0 terms bound every other sweep's, so
+    none overflows.
 
     Both phases run on the rates scaled by 2^-m, with m the binary
     exponent of gamma, so the scaled gamma lies in [1, 2).  theta is
@@ -177,17 +199,9 @@ def _solve_dominant_flux(p: ModelParams) -> tuple[float, np.ndarray]:
         ConvergenceError: the sweep at gamma / 2^k_hi is not below the
             rate, so the lower bound failed; iterations is the sweep count.
     """
-    m = math.frexp(p.gamma)[1] - 1
-    p = ModelParams(p.n, math.ldexp(p.lam, -m), math.ldexp(p.gamma, -m))
+    m, p, log_s0 = _scaled_flux_sum(p)
     n = p.n
     gamma = p.gamma
-    log_s0 = float(_log_mean_times(p)[-1])
-    if log_s0 > _MAX_LOG_FLUX_SUM:
-        raise OverflowError(
-            "dominant eigenvalue magnitude ~ gamma*exp(-%.4g) underflows double "
-            "precision at these parameters; the spectral route cannot represent it"
-            % log_s0
-        )
     births, deaths = rates(p)
     upper = births[1:n]
     lower = deaths[2:]

@@ -12,6 +12,8 @@ mean time to extinction of the plain chain started from state 1 is
 1 / (gamma * pi[1]).  Everything is accumulated in log space: the
 unnormalized weights span hundreds of orders of magnitude once n is large
 and R0 > 1, and (n-1)! alone overflows double precision past n = 170.
+scipy.special is imported by the functions that call it, so the simulate
+commands, which call none of them, never load it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from sisq.chain import ModelParams
 
@@ -59,6 +60,8 @@ def log_stationary_weights(p: ModelParams) -> np.ndarray:
     the closed form of the detailed-balance recurrence, written with
     log-gamma so no factorial is ever formed.  w[1] = 1 exactly.
     """
+    from scipy.special import gammaln
+
     n = p.n
     i = np.arange(1, n + 1, dtype=float)
     return (
@@ -79,6 +82,8 @@ def stationary_distribution(p: ModelParams) -> np.ndarray:
         Length-n array, entry k is the equilibrium probability of state
         k + 1.  Normalized with the log-sum-exp pattern.
     """
+    from scipy.special import logsumexp
+
     logw = log_stationary_weights(p)
     pi = np.exp(logw - logsumexp(logw))
     return pi / pi.sum()
@@ -107,6 +112,8 @@ def log_expected_extinction_time(p: ModelParams) -> float:
     distribution directly into the expected time, so the log form is a
     single log-sum-exp and is always finite.
     """
+    from scipy.special import logsumexp
+
     logw = log_stationary_weights(p)
     return float(logsumexp(logw)) - math.log(p.gamma)
 

@@ -250,6 +250,21 @@ def test_extinction_time_simulate_refuses_past_event_budget(capsys):
     assert err.startswith("error:") and "budget of 1e10 events" in err
 
 
+def test_extinction_time_simulate_past_the_flux_edge_names_the_event_budget(capsys, monkeypatch):
+    # Past the flux edge the QSD start cannot be formed, but the budget
+    # refuses the run before it is asked for.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route ran before the event budget was checked")
+
+    for name in ("log_expected_extinction_time", "quasi_stationary_distribution"):
+        monkeypatch.setattr(sisq.cli, name, refuse)
+    code, out, err = run_cli(capsys, "extinction-time", "--n", "41247", "--r0", "1.2",
+                             "--method", "exact,simulate", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: extinction sampling needs at least ~1e")
+    assert "beyond the budget of 1e10 events; use the exact or qsd method" in err
+
+
 @pytest.mark.parametrize("methods, seed, message", [
     ("simulate,bogus", ["--seed", "1"], "unknown method 'bogus'"),
     ("exact,qsd,clt,simulate", [], "--method simulate requires --seed"),
@@ -462,6 +477,18 @@ def test_compare_refuses_every_point_before_any_flux_solve(
     code, out, err = run_cli(capsys, "compare", "--n-grid", grid, "--r0", r0)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and message in err
+
+
+def test_compare_refuses_a_point_past_the_flux_edge_before_any_solve(capsys, monkeypatch):
+    # n = 41,247 is one past the flux route's edge at R0 = 1.2; the two
+    # points before it are not solved first.
+    calls = []
+    real = sisq.cli.quasi_stationary_distribution
+    monkeypatch.setattr(sisq.cli, "quasi_stationary_distribution",
+                        lambda p: calls.append(p) or real(p))
+    code, out, err = run_cli(capsys, "compare", "--n-grid", "41000,41246,41247", "--r0", "1.2")
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith("error:") and "underflows double precision" in err
 
 
 @pytest.mark.xfail(
@@ -1133,6 +1160,25 @@ def test_cli_import_leaves_lapack_unloaded():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_simulate_leaves_scipy_special_unloaded():
+    # The simulate modes call no scipy function, so they never import one.
+    src = str(Path(sisq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import contextlib, io, sys, sisq.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = sisq.cli.main(['simulate', '--mode', 'restarted', '--n', '20',\n"
+        "                          '--r0', '2', '--t-max', '10', '--seed', '1'])\n"
+        "print(code, 'scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False\n", "")
 
 
 def test_serial_commands_leave_pool_code_unloaded():

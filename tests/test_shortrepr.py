@@ -60,11 +60,52 @@ def test_random_bit_patterns_where_ties_are_common():
 
 
 def test_doubles_below_powers_of_ten_are_decided():
-    # log10 of the double just below 10**e can round up to e, so the
-    # search starts at 16 significant digits there; they still fit.
+    # Just below 10**e, where a search start taken from log10 would round
+    # up to e, every double is still decided.
     x = [np.nextafter(10.0 ** e, 0.0) for e in range(-3, 16)]
     assert_same_rows(_text(x), _reference(x))
     assert _decided(x).all()
+
+
+def _binade_cases():
+    """(s, x) over every binade x = m * 2**(1 - s) of [1e-4, 2**53): the
+    least, the greatest and one random mantissa m that is not a power of
+    two, with their neighbours one ulp away, and, for s >= 2, the first m
+    down from the top for which one digit fewer than the start leaves no
+    decimal inside x's interval.  Powers of two and values below 1e-4 are
+    dropped."""
+    rng = np.random.default_rng(31)
+    for s in range(1, 68):
+        mantissas = [k for m in (2 ** 52 + 1, int(rng.integers(2 ** 52 + 2, 2 ** 53 - 2)),
+                                 2 ** 53 - 1) for k in (m - 1, m, m + 1)]
+        if s >= 2:
+            # (d - 1)-digit decimals, with d the digit count of 2**(s - 1),
+            # are no finer than the interval: some 2m * 10**j lies 10**j or
+            # more from every multiple of 2**s.
+            j = len(str(2 ** (s - 1))) - 1
+            m = next(m for m in range(2 ** 53 - 1, 2 ** 52, -1)
+                     if 10 ** j < 2 * m * 10 ** j % 2 ** s < 2 ** s - 10 ** j)
+            x = float(np.ldexp(float(m), 1 - s))
+            assert float(f"{x:.{j}f}") != x, (s, x, j)
+            mantissas.append(m)
+        for k in mantissas:
+            x = float(np.ldexp(float(k), 1 - s))
+            if k not in (2 ** 52, 2 ** 53) and x >= 1e-4:
+                yield s, x
+
+
+def test_search_start_of_every_binade_is_inside_the_interval():
+    # The search starts at _START[s] fraction digits, the digit count of
+    # 2**(s - 1) (0 for s = 1): a decimal that long reads back as x in every
+    # binade, and one digit fewer does not for some x of each.
+    cases = list(_binade_cases())
+    assert sorted({s for s, _ in cases}) == list(range(1, 68))
+    x = [v for _, v in cases]
+    assert _decided(x).all()
+    assert_same_rows(_text(x), _reference(x))
+    for s, v in cases:
+        j0 = int(_shortrepr._START[s])
+        assert float(f"{v:.{j0}f}") == v, (s, v, j0)
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -125,8 +166,10 @@ def test_chunk_memory_per_row():
     # Peak allocation of one 16,384-row chunk: the first rows of a
     # restarted run, whose times run from below 1e-3 to about 180.  The
     # digit search and the text are worked on in place, so it peaks at
-    # 65 B a row, on the digit-search side; it was 137 B a row with a
-    # fresh array for every step.
+    # 69.2 B a row, while the digits are written (a quotient buffer and
+    # its product by ten beside the columns); it was 65.1 B a row, on the
+    # digit-search side, when np.divmod wrote them, and 137 B a row with
+    # a fresh array for every step.
     tr = simulate_restarted(ModelParams(100, 2.0), 200.0, SeedSpec(1))
     rows = 1 << 14
     times = tr.times[:rows]

@@ -389,6 +389,19 @@ def test_absorption_on_the_last_draw_of_a_block(monkeypatch, block):
     _assert_kernels_match_reference(p, seed, "restarted", 1, t_max)
 
 
+@pytest.mark.parametrize("block", [16, 1024])
+def test_restarted_log_mixing_blocks_with_and_without_restarts(monkeypatch, block):
+    # A block without a restart row logs its clocks as they are, one with
+    # one repeats the absorption's clock; both kinds make up this log.
+    monkeypatch.setattr(sim_module, "_BLOCK", block)
+    p, seed, t_max = ModelParams(20, 2.0), 3, 1e4
+    _, flags = _assert_kernels_match_reference(p, seed, "restarted", 1, t_max)
+    jumps = np.cumsum(~flags[1:]) - 1  # the jump each row is, or follows
+    blocks = jumps[-1] // block + 1
+    with_restarts = np.unique(jumps[flags[1:]] // block).size
+    assert 0 < with_restarts < blocks, (with_restarts, blocks)
+
+
 @pytest.mark.parametrize("restarted", [False, True])
 def test_horizon_before_the_first_event(restarted):
     p, y0, t_max = ModelParams(10, 2.0), (1 if restarted else 5), 1e-9
